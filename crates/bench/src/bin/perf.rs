@@ -402,17 +402,19 @@ fn main() -> ExitCode {
         println!("{}", report_line(&m));
         measurements.push(m);
         // The full Table-6 row fan-out, sequential vs parallel, for the
-        // harness speedup trend.
+        // harness speedup trend (one row when `--jobs 1`: names are keys).
         let m = time("table6_rows_jobs1", samples, || {
             run_table_jobs(6, false, opts, 1)
         });
         println!("{}", report_line(&m));
         measurements.push(m);
-        let m = time(&format!("table6_rows_jobs{jobs}"), samples, || {
-            run_table_jobs(6, false, opts, jobs)
-        });
-        println!("{}", report_line(&m));
-        measurements.push(m);
+        if jobs != 1 {
+            let m = time(&format!("table6_rows_jobs{jobs}"), samples, || {
+                run_table_jobs(6, false, opts, jobs)
+            });
+            println!("{}", report_line(&m));
+            measurements.push(m);
+        }
         // One sharded-engine point for the intra-run speedup trend.
         if shards > 1 {
             let shard_opts = RunOptions { shards, ..opts };

@@ -1,17 +1,20 @@
-//! The scheme-lint engine: one exact BFS per destination over the
+//! The scheme-lint engine: one exact walk per destination over the
 //! concrete instance (identity classifier, all destinations — lints
 //! never trust a scheme's symmetry declaration), accumulating per-state
 //! findings and the concrete static QDG for the order lints.
 //!
-//! The exploration mirrors the certifier's source-eliminated form: a
-//! route's transitions depend only on the `(queue, message)` state, so
-//! one BFS per destination seeded with *every* source's injection state
-//! visits exactly the union of the per-pair state graphs in O(N)
-//! explorations instead of O(N²).
+//! The walk is the certifier's: `fadr_qdg::explore::walk_dst`, seeded
+//! with *every* source's injection state, visits exactly the union of
+//! the per-pair state graphs in O(N) walks instead of O(N²)
+//! explorations. The lints add findings with dedup sets, the minimality
+//! and buffer-class checks, and the order lints over the static QDG.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::convert::Infallible;
 
+use fadr_qdg::explore::{walk_dst, Step};
 use fadr_qdg::graph::Digraph;
+use fadr_qdg::hasher::FxHashMap;
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, Transition};
 use fadr_topology::graph::reverse_adjacency;
@@ -33,25 +36,6 @@ struct EdgeWitness {
     msg: String,
 }
 
-/// Queue interner: dense vertex indices for the static [`Digraph`].
-#[derive(Default)]
-struct Interner {
-    queues: Vec<QueueId>,
-    index: HashMap<QueueId, usize>,
-}
-
-impl Interner {
-    fn intern(&mut self, q: QueueId) -> usize {
-        if let Some(&i) = self.index.get(&q) {
-            return i;
-        }
-        let i = self.queues.len();
-        self.queues.push(q);
-        self.index.insert(q, i);
-        i
-    }
-}
-
 pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stats {
     let topo = rf.topology();
     let n = topo.num_nodes();
@@ -66,7 +50,9 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
         None
     };
 
-    let mut intern = Interner::default();
+    // Dense static-QDG vertex index → queue, and back.
+    let mut queues: Vec<QueueId> = Vec::new();
+    let mut vertex: FxHashMap<QueueId, usize> = FxHashMap::default();
     let mut static_g = Digraph::default();
     let mut witnesses: HashMap<(usize, usize), EdgeWitness> = HashMap::new();
     let mut stats = Stats {
@@ -85,73 +71,51 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
     let mut used_buffers: HashMap<(NodeId, usize), BTreeSet<BufferClass>> = HashMap::new();
     let mut used_central_classes: BTreeSet<u8> = BTreeSet::new();
 
-    let mut buf: Vec<Transition<R::Msg>> = Vec::new();
     for dst in 0..n {
         let dist_to_dst = rev.as_deref().map(|rev| reverse_bfs(rev, dst));
-        // BFS seeded with every source's injection state.
-        let mut index: HashMap<(QueueId, R::Msg), u32> = HashMap::new();
-        let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
-        for src in 0..n {
-            if src == dst {
-                continue;
-            }
-            let key = (QueueId::inject(src), rf.initial_msg(src, dst));
-            if !index.contains_key(&key) {
-                index.insert(key.clone(), as_u32(states.len()));
-                states.push(key);
-            }
-        }
-        let mut stutter: Vec<(u32, u32)> = Vec::new();
-        let mut i = 0usize;
-        while i < states.len() {
-            let (q, msg) = states[i].clone();
-            let cur = as_u32(i);
-            i += 1;
-            if q.kind == QueueKind::Deliver {
-                if q.node != dst && wrong_delivery_seen.insert(q) {
-                    col.emit(Finding {
-                        lint: LintId::WrongDelivery,
-                        message: format!("delivered at node {} instead of {dst}", q.node),
-                        queues: vec![q],
-                        nodes: vec![q.node],
-                        dst: Some(dst),
-                        state: Some(format!("{msg:?}")),
-                    });
+        let finding = |lint, message, at: Vec<QueueId>, msg: &R::Msg| Finding {
+            lint,
+            message,
+            nodes: at.iter().map(|q| q.node).collect(),
+            queues: at,
+            dst: Some(dst),
+            state: Some(format!("{msg:?}")),
+        };
+        let walked = walk_dst(rf, dst, |q, msg, step| {
+            let transitions = match step {
+                Step::Delivered => {
+                    if q.node != dst && wrong_delivery_seen.insert(q) {
+                        let message = format!("delivered at node {} instead of {dst}", q.node);
+                        col.emit(finding(LintId::WrongDelivery, message, vec![q], msg));
+                    }
+                    return Ok(());
                 }
-                continue;
-            }
-            buf.clear();
-            rf.for_each_transition(q, &msg, &mut |t| buf.push(t));
-            if buf.is_empty() {
-                if dead_end_seen.insert(q) {
-                    col.emit(Finding {
-                        lint: LintId::DeadEnd,
-                        message: format!("no transition at {q}: the message is stuck"),
-                        queues: vec![q],
-                        nodes: vec![q.node],
-                        dst: Some(dst),
-                        state: Some(format!("{msg:?}")),
-                    });
+                Step::DeadEnd => {
+                    if dead_end_seen.insert(q) {
+                        let message = format!("no transition at {q}: the message is stuck");
+                        col.emit(finding(LintId::DeadEnd, message, vec![q], msg));
+                    }
+                    return Ok(());
                 }
-                continue;
-            }
+                Step::StutterCycle => {
+                    if stutter_seen.insert(q) {
+                        let message = format!(
+                            "static stutter cycle at {q}: states cycle in place without \
+                             acquiring a new queue, invisible to the QDG rank argument"
+                        );
+                        col.emit(finding(LintId::StutterCycle, message, vec![q], msg));
+                    }
+                    return Ok(());
+                }
+                Step::Expanded { transitions, .. } => transitions,
+            };
             queues_seen.insert(q);
             if let QueueKind::Central(c) = q.kind {
                 used_central_classes.insert(c);
             }
-            let a = intern.intern(q);
+            let a = intern(&mut queues, &mut vertex, q);
             let mut has_static = false;
-            for t in &buf {
-                let key = (t.to, t.msg.clone());
-                let j = match index.get(&key) {
-                    Some(&j) => j,
-                    None => {
-                        let j = as_u32(states.len());
-                        index.insert(key.clone(), j);
-                        states.push(key);
-                        j
-                    }
-                };
+            for t in transitions {
                 if let HopKind::Link(port) = t.hop {
                     if let Some(used) = buffer_class_of(t) {
                         used_buffers.entry((q.node, port)).or_default().insert(used);
@@ -160,91 +124,63 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
                     if let Some(dist) = &dist_to_dst {
                         let (du, dv) = (dist[q.node], dist[t.to.node]);
                         if dv.checked_add(1) != Some(du) && nonminimal_seen.insert((q, t.to)) {
-                            col.emit(Finding {
-                                lint: LintId::NonMinimalHop,
-                                message: format!(
-                                    "hop {q} -> {} does not approach dst {dst} \
-                                     (distance {} -> {}) though the scheme claims minimality",
-                                    t.to,
-                                    fmt_dist(du),
-                                    fmt_dist(dv),
-                                ),
-                                queues: vec![q, t.to],
-                                nodes: vec![q.node, t.to.node],
-                                dst: Some(dst),
-                                state: Some(format!("{msg:?}")),
-                            });
+                            let message = format!(
+                                "hop {q} -> {} does not approach dst {dst} \
+                                 (distance {} -> {}) though the scheme claims minimality",
+                                t.to,
+                                fmt_dist(du),
+                                fmt_dist(dv),
+                            );
+                            col.emit(finding(LintId::NonMinimalHop, message, vec![q, t.to], msg));
                         }
                     }
                 }
-                if t.to == q {
-                    // A stutter holds its queue slot: no QDG edge, but a
-                    // possible state-level cycle the rank argument misses.
-                    if t.kind == LinkKind::Static {
-                        has_static = true;
-                        stutter.push((cur, j));
-                    }
+                if t.kind != LinkKind::Static {
                     continue;
                 }
-                if t.kind == LinkKind::Static {
-                    has_static = true;
-                    let b = intern.intern(t.to);
-                    if !static_g.has_edge(a, b) {
-                        static_g.add_edge(a, b);
-                        witnesses.insert(
-                            (a, b),
-                            EdgeWitness {
-                                dst,
-                                msg: format!("{msg:?}"),
-                            },
-                        );
-                    }
+                has_static = true;
+                if t.to == q {
+                    // A stutter holds its queue slot: no QDG edge (the
+                    // walker checks stutter cycles).
+                    continue;
+                }
+                let b = intern(&mut queues, &mut vertex, t.to);
+                if !static_g.has_edge(a, b) {
+                    static_g.add_edge(a, b);
+                    witnesses.insert(
+                        (a, b),
+                        EdgeWitness {
+                            dst,
+                            msg: format!("{msg:?}"),
+                        },
+                    );
                 }
             }
             if !has_static && no_escape_seen.insert(q) {
-                col.emit(Finding {
-                    lint: LintId::NoStaticEscape,
-                    message: format!(
-                        "state at {q} has only dynamic continuations: a message that \
-                         arrived over a dynamic link may never regain the static DAG"
-                    ),
-                    queues: vec![q],
-                    nodes: vec![q.node],
-                    dst: Some(dst),
-                    state: Some(format!("{msg:?}")),
-                });
+                let message = format!(
+                    "state at {q} has only dynamic continuations: a message that \
+                     arrived over a dynamic link may never regain the static DAG"
+                );
+                col.emit(finding(LintId::NoStaticEscape, message, vec![q], msg));
             }
-        }
-        stats.states_explored += states.len();
-        if let Some(s) = stutter_cycle(&stutter) {
-            let (q, msg) = &states[s as usize];
-            if stutter_seen.insert(*q) {
-                col.emit(Finding {
-                    lint: LintId::StutterCycle,
-                    message: format!(
-                        "static stutter cycle at {q}: states cycle in place without \
-                         acquiring a new queue, invisible to the QDG rank argument"
-                    ),
-                    queues: vec![*q],
-                    nodes: vec![q.node],
-                    dst: Some(dst),
-                    state: Some(format!("{msg:?}")),
-                });
-            }
-        }
+            Ok::<(), Infallible>(())
+        });
+        let Ok(states) = walked;
+        stats.states_explored += states;
     }
     stats.queues_seen = queues_seen.len();
 
-    order_lints(col, &intern, &static_g, &witnesses, rf);
+    order_lints(col, &queues, &static_g, &witnesses, rf);
     provisioning_lints(rf, col, &used_buffers, &used_central_classes);
     stats
 }
 
-// Cast audit: state indices are dense positions in the per-destination
-// exploration, which is itself bounded far below `u32::MAX` states by
-// memory long before this cast could fail.
-fn as_u32(n: usize) -> u32 {
-    u32::try_from(n).expect("state count fits u32")
+/// Dense static-QDG vertex index of `q`, inserting it if new.
+fn intern(queues: &mut Vec<QueueId>, vertex: &mut FxHashMap<QueueId, usize>, q: QueueId) -> usize {
+    *vertex.entry(q).or_insert_with(|| {
+        queues.push(q);
+        queues.len() - 1
+    })
 }
 
 fn fmt_dist(d: usize) -> String {
@@ -325,17 +261,17 @@ fn check_declared<R: Symmetry + ?Sized>(
 /// class order itself admits no rank function.
 fn order_lints<R: Symmetry + ?Sized>(
     col: &mut Collector<'_>,
-    intern: &Interner,
+    queues: &[QueueId],
     static_g: &Digraph,
     witnesses: &HashMap<(usize, usize), EdgeWitness>,
     rf: &R,
 ) {
     if static_g.is_acyclic() {
-        quotient_lint(col, intern, static_g, rf);
+        quotient_lint(col, queues, static_g, rf);
         return;
     }
     let mut classes: BTreeSet<u8> = BTreeSet::new();
-    for q in &intern.queues {
+    for q in queues {
         if let QueueKind::Central(c) = q.kind {
             classes.insert(c);
         }
@@ -345,12 +281,12 @@ fn order_lints<R: Symmetry + ?Sized>(
         if !col.enabled(LintId::ClassCapacityExhausted) {
             break;
         }
-        let within = static_g.restricted(&|v| intern.queues[v].kind == QueueKind::Central(c));
+        let within = static_g.restricted(&|v| queues[v].kind == QueueKind::Central(c));
         let Some(cycle) = within.shortest_cycle() else {
             continue;
         };
         confined = true;
-        let queues: Vec<QueueId> = cycle.iter().map(|&v| intern.queues[v]).collect();
+        let cycle_queues: Vec<QueueId> = cycle.iter().map(|&v| queues[v]).collect();
         let w = witnesses.get(&(cycle[0], cycle[1 % cycle.len()]));
         col.emit(Finding {
             lint: LintId::ClassCapacityExhausted,
@@ -359,8 +295,8 @@ fn order_lints<R: Symmetry + ?Sized>(
                  ordering of the classes can break it — the class is under-provisioned",
                 cycle.len()
             ),
-            nodes: queues.iter().map(|q| q.node).collect(),
-            queues,
+            nodes: cycle_queues.iter().map(|q| q.node).collect(),
+            queues: cycle_queues,
             dst: w.map(|w| w.dst),
             state: w.map(|w| w.msg.clone()),
         });
@@ -369,7 +305,7 @@ fn order_lints<R: Symmetry + ?Sized>(
         let cycle = static_g
             .shortest_cycle()
             .expect("cyclic graph has a shortest cycle");
-        let queues: Vec<QueueId> = cycle.iter().map(|&v| intern.queues[v]).collect();
+        let cycle_queues: Vec<QueueId> = cycle.iter().map(|&v| queues[v]).collect();
         let w = witnesses.get(&(cycle[0], cycle[1 % cycle.len()]));
         col.emit(Finding {
             lint: LintId::UnrankableClassOrder,
@@ -378,8 +314,8 @@ fn order_lints<R: Symmetry + ?Sized>(
                  no rank function over the static class order exists",
                 cycle.len()
             ),
-            nodes: queues.iter().map(|q| q.node).collect(),
-            queues,
+            nodes: cycle_queues.iter().map(|q| q.node).collect(),
+            queues: cycle_queues,
             dst: w.map(|w| w.dst),
             state: w.map(|w| w.msg.clone()),
         });
@@ -392,7 +328,7 @@ fn order_lints<R: Symmetry + ?Sized>(
 /// concrete fallback — legal, but the declared symmetry buys nothing.
 fn quotient_lint<R: Symmetry + ?Sized>(
     col: &mut Collector<'_>,
-    intern: &Interner,
+    queues: &[QueueId],
     static_g: &Digraph,
     rf: &R,
 ) {
@@ -400,21 +336,21 @@ fn quotient_lint<R: Symmetry + ?Sized>(
         return;
     }
     let mut class_index: BTreeMap<fadr_qdg::sym::QueueClass, usize> = BTreeMap::new();
-    let mut class_of = Vec::with_capacity(intern.queues.len());
-    for &q in &intern.queues {
+    let mut class_of = Vec::with_capacity(queues.len());
+    for &q in queues {
         let c = rf.queue_class(q);
         let next = class_index.len();
         class_of.push(*class_index.entry(c).or_insert(next));
     }
     let mut quotient = Digraph::new(class_index.len());
     let mut sample: HashMap<(usize, usize), (QueueId, QueueId)> = HashMap::new();
-    for (v, q) in intern.queues.iter().enumerate() {
+    for (v, q) in queues.iter().enumerate() {
         for &u in static_g.successors(v) {
             let (a, b) = (class_of[v], class_of[u]);
             // Unlike the concrete graph, a class-level self-loop IS a
             // cycle: two distinct queues of one class depend on each other.
             quotient.add_edge(a, b);
-            sample.entry((a, b)).or_insert((*q, intern.queues[u]));
+            sample.entry((a, b)).or_insert((*q, queues[u]));
         }
     }
     let Some(cycle) = quotient.shortest_cycle() else {
@@ -518,45 +454,6 @@ fn provisioning_lints<R: Symmetry + ?Sized>(
     }
 }
 
-/// Cycle detection over one destination's static stutter transitions
-/// (iterative three-color DFS; returns a state index on some cycle).
-fn stutter_cycle(edges: &[(u32, u32)]) -> Option<u32> {
-    let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-    for &(a, b) in edges {
-        adj.entry(a).or_default().push(b);
-    }
-    let mut roots: Vec<u32> = adj.keys().copied().collect();
-    roots.sort_unstable();
-    let mut color: HashMap<u32, u8> = HashMap::new(); // 1 = gray, 2 = black
-    for &start in &roots {
-        if color.contains_key(&start) {
-            continue;
-        }
-        color.insert(start, 1);
-        let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-        while let Some(frame) = stack.last_mut() {
-            let v = frame.0;
-            let next = adj.get(&v).and_then(|s| s.get(frame.1).copied());
-            frame.1 += 1;
-            match next {
-                Some(w) => match color.get(&w).copied() {
-                    Some(1) => return Some(w),
-                    Some(_) => {}
-                    None => {
-                        color.insert(w, 1);
-                        stack.push((w, 0));
-                    }
-                },
-                None => {
-                    color.insert(v, 2);
-                    stack.pop();
-                }
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,6 +468,8 @@ mod tests {
 
     #[test]
     fn stutter_cycle_detects_self_loop_and_two_cycle() {
+        // The lint engine uses the shared detector in `fadr_qdg::explore`.
+        use fadr_qdg::explore::stutter_cycle;
         assert!(stutter_cycle(&[(3, 3)]).is_some());
         assert!(stutter_cycle(&[(0, 1), (1, 0)]).is_some());
         assert_eq!(stutter_cycle(&[(0, 1), (1, 2)]), None);

@@ -324,3 +324,23 @@ fn regression_single_queue_ecube_is_capacity_exhausted() {
         report.render_text()
     );
 }
+
+/// Lint and the certifier's exact pass walk the same states: same state
+/// and queue counts on every clean family (counts pinned at the values
+/// both tools reported before they shared one walker).
+#[test]
+fn lint_and_certifier_explore_the_same_states() {
+    fn counts<R: Symmetry>(rf: &R) -> [(usize, usize); 2] {
+        let report = lint_scheme(rf, &LintConfig::default());
+        let cg = fadr_verify::classgraph::build(&fadr_verify::Concrete(rf), true)
+            .expect("clean scheme builds");
+        [
+            (report.states_explored, report.queues_seen),
+            (cg.states_explored, cg.queues_seen),
+        ]
+    }
+    assert_eq!(counts(&HypercubeFullyAdaptive::new(6)), [(8192, 191); 2]);
+    assert_eq!(counts(&MeshFullyAdaptive::new(6, 6)), [(2592, 107); 2]);
+    assert_eq!(counts(&TorusTwoPhase::new(6, 6)), [(4620, 167); 2]);
+    assert_eq!(counts(&ShuffleExchangeRouting::new(6)), [(25434, 309); 2]);
+}

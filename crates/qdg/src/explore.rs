@@ -6,10 +6,23 @@
 //! `q'` immediately after `q`. We therefore build it by exploring, for every
 //! ordered pair `(src, dst)`, all message states reachable from the
 //! injection queue under `R̃`.
+//!
+//! [`explore_pair`] materializes one pair's state graph and stays the
+//! exhaustive oracle of [`crate::verify`]. The scalable tools (the
+//! certifier and the lint battery) use [`walk_dst`] instead: transitions
+//! depend only on the `(queue, message)` state, never on the source, so
+//! one walk per **destination** seeded with every source's injection
+//! state visits exactly the union of the per-pair state graphs — O(N)
+//! walks instead of O(N²) explorations — and streams each state to the
+//! caller rather than storing its transitions.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
+use fadr_topology::NodeId;
+
 use crate::graph::Digraph;
+use crate::hasher::FxHashMap;
 use crate::{LinkKind, QueueId, QueueKind, RoutingFunction, Transition};
 
 /// The queue dependency graph of a routing function on a concrete network.
@@ -178,10 +191,201 @@ pub fn explore_pair<R: RoutingFunction + ?Sized>(
     }
 }
 
+/// What [`walk_dst`] reports about one state.
+#[derive(Debug)]
+pub enum Step<'a, M> {
+    /// A delivery state: the message has arrived at the queue's node
+    /// (which need not be the destination — that is the caller's check).
+    Delivered,
+    /// A non-delivered state with no transition at all.
+    DeadEnd,
+    /// A non-delivered state and its transitions, in the routing
+    /// function's emission order.
+    Expanded {
+        /// The state's outgoing transitions.
+        transitions: &'a [Transition<M>],
+        /// Dense successor state ids, aligned with `transitions`.
+        succ: &'a [u32],
+    },
+    /// Reported at most once, after every state was visited: the static
+    /// stutter transitions (`t.to == q`, which hold their queue slot and
+    /// so leave no QDG edge) contain a cycle through this state.
+    StutterCycle,
+}
+
+/// Walk every `(queue, message)` state reachable on routes to `dst`,
+/// seeded with the injection state of every source `src != dst`.
+///
+/// States are interned in BFS order (ids are dense, in first-sight
+/// order) and each is reported to `visit` exactly once, with its
+/// transitions streamed through one reused buffer; the walk keeps no
+/// per-state transition lists. After the last state, the static stutter
+/// transitions are checked for a cycle ([`Step::StutterCycle`]). The
+/// first `Err` from `visit` stops the walk; otherwise the number of
+/// states visited is returned.
+pub fn walk_dst<R, E, F>(rf: &R, dst: NodeId, mut visit: F) -> Result<usize, E>
+where
+    R: RoutingFunction + ?Sized,
+    F: FnMut(QueueId, &R::Msg, Step<'_, R::Msg>) -> Result<(), E>,
+{
+    let mut index: FxHashMap<(QueueId, R::Msg), u32> = FxHashMap::default();
+    let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
+    for src in (0..rf.topology().num_nodes()).filter(|&src| src != dst) {
+        let seed = (QueueId::inject(src), rf.initial_msg(src, dst));
+        intern(&mut index, &mut states, seed);
+    }
+    let mut transitions: Vec<Transition<R::Msg>> = Vec::new();
+    let mut succ: Vec<u32> = Vec::new();
+    let mut stutter: Vec<(u32, u32)> = Vec::new();
+    let mut i = 0;
+    while i < states.len() {
+        // `states` grows as successors are interned: clone the state out.
+        let (q, msg) = states[i].clone();
+        let cur = as_u32(i);
+        i += 1;
+        if q.kind == QueueKind::Deliver {
+            visit(q, &msg, Step::Delivered)?;
+            continue;
+        }
+        transitions.clear();
+        rf.for_each_transition(q, &msg, &mut |t| transitions.push(t));
+        if transitions.is_empty() {
+            visit(q, &msg, Step::DeadEnd)?;
+            continue;
+        }
+        succ.clear();
+        for t in &transitions {
+            let j = intern(&mut index, &mut states, (t.to, t.msg.clone()));
+            if t.to == q && t.kind == LinkKind::Static {
+                stutter.push((cur, j));
+            }
+            succ.push(j);
+        }
+        visit(
+            q,
+            &msg,
+            Step::Expanded {
+                transitions: &transitions,
+                succ: &succ,
+            },
+        )?;
+    }
+    if let Some(s) = stutter_cycle(&stutter) {
+        let (q, msg) = &states[s as usize];
+        visit(*q, msg, Step::StutterCycle)?;
+    }
+    Ok(states.len())
+}
+
+/// Dense id of `key`, appending it to `states` (the BFS work queue) if new.
+fn intern<K: Clone + Eq + std::hash::Hash>(
+    index: &mut FxHashMap<K, u32>,
+    states: &mut Vec<K>,
+    key: K,
+) -> u32 {
+    match index.entry(key) {
+        Entry::Occupied(e) => *e.get(),
+        Entry::Vacant(e) => {
+            let j = as_u32(states.len());
+            states.push(e.key().clone());
+            e.insert(j);
+            j
+        }
+    }
+}
+
+// Cast audit: state ids are dense positions in one destination's walk,
+// which memory bounds far below `u32::MAX` states.
+fn as_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("state count fits u32")
+}
+
+/// Cycle detection over the static stutter transitions of one walk
+/// (iterative three-color DFS over the sparse adjacency, roots in
+/// ascending id order; returns a state id on some cycle).
+pub fn stutter_cycle(edges: &[(u32, u32)]) -> Option<u32> {
+    let mut adj: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+    for &(a, b) in edges {
+        adj.entry(a).or_default().push(b);
+    }
+    let mut roots: Vec<u32> = adj.keys().copied().collect();
+    roots.sort_unstable();
+    let mut color: FxHashMap<u32, u8> = FxHashMap::default(); // 1 = gray, 2 = black
+    for &start in &roots {
+        if color.contains_key(&start) {
+            continue;
+        }
+        color.insert(start, 1);
+        let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
+        while let Some(frame) = stack.last_mut() {
+            let v = frame.0;
+            let next = adj.get(&v).and_then(|s| s.get(frame.1).copied());
+            frame.1 += 1;
+            match next {
+                Some(w) => match color.get(&w).copied() {
+                    Some(1) => return Some(w),
+                    Some(_) => {}
+                    None => {
+                        color.insert(w, 1);
+                        stack.push((w, 0));
+                    }
+                },
+                None => {
+                    color.insert(v, 2);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::test_fixtures::EcubeHypercube;
+
+    #[test]
+    fn stutter_cycle_finds_self_loop_and_two_cycle_but_not_chain() {
+        assert!(stutter_cycle(&[(3, 3)]).is_some());
+        assert!(stutter_cycle(&[(0, 1), (1, 0)]).is_some());
+        assert_eq!(stutter_cycle(&[(0, 1), (1, 2)]), None);
+    }
+
+    #[test]
+    fn walk_visits_the_union_of_the_pair_explorations() {
+        use std::collections::HashSet;
+        let rf = EcubeHypercube::new(3);
+        for dst in 0..8 {
+            // States are reported in id order, so the k-th is state k.
+            let mut walked = Vec::new();
+            let mut edges = Vec::new();
+            let count = walk_dst(&rf, dst, |q, msg, step| {
+                if let Step::Expanded { transitions, succ } = step {
+                    assert_eq!(transitions.len(), succ.len());
+                    for (t, &j) in transitions.iter().zip(succ) {
+                        edges.push(((t.to, t.msg.clone()), j as usize));
+                    }
+                }
+                if !matches!(step, Step::StutterCycle) {
+                    walked.push((q, msg.clone()));
+                }
+                Ok::<(), ()>(())
+            })
+            .expect("visitor never fails");
+            assert_eq!(count, walked.len());
+            for (state, j) in edges {
+                assert_eq!(walked[j], state, "successor id names the target state");
+            }
+            let walked: HashSet<_> = walked.into_iter().collect();
+            assert_eq!(walked.len(), count, "each state is reported once");
+            let union: HashSet<_> = (0..8)
+                .filter(|&src| src != dst)
+                .flat_map(|src| explore_pair(&rf, src, dst).states)
+                .collect();
+            assert_eq!(walked, union, "dst {dst}");
+        }
+    }
 
     #[test]
     fn ecube_pair_exploration_is_a_single_path() {

@@ -28,6 +28,7 @@
 pub mod dot;
 pub mod explore;
 pub mod graph;
+pub mod hasher;
 pub mod sym;
 pub mod verify;
 

@@ -148,6 +148,7 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
 }
 
 /// Three-color DFS over the sparse stutter adjacency of one destination.
+/// Kept apart from `fadr_qdg::explore::stutter_cycle`: the checker shares no constructor code.
 fn stutter_cycle(adj: &HashMap<usize, Vec<usize>>) -> Option<usize> {
     let mut roots: Vec<usize> = adj.keys().copied().collect();
     roots.sort_unstable();

@@ -34,7 +34,6 @@ pub mod classgraph;
 pub mod cli;
 pub mod concrete;
 pub mod faulted;
-pub mod hasher;
 
 use std::collections::HashMap;
 
