@@ -10,6 +10,9 @@
 //! lanes of one batched engine (`fadr_sim::LaneSim`) and emits
 //! mean ± 95% CI columns instead of single noisy samples (the CSV
 //! header changes, so downstream parsing is never silently wrong).
+//! The lane sweep runs router-major: each router builds one engine,
+//! whose routing-state table is its costly set-up, and runs all eleven
+//! λ points on it, so a sweep builds three tables, not thirty-three.
 //! Lanes batch clean recorder-free runs only: `--lanes > 1` rejects
 //! `--shards > 1`, recording flags, `--faults`, checkpoint/resume, and
 //! the capacity mode.
@@ -21,29 +24,43 @@
 //! Each sweep runs the fully-adaptive algorithm, the static hang, and
 //! e-cube + SBP side by side. Sweep points are independent simulations,
 //! so they fan out over `--jobs` worker threads (default: available
-//! parallelism); rows are computed into slots and printed in sweep
-//! order, so the CSV is bit-identical for any `--jobs` value.
-//! `--shards S` additionally runs each simulation on `S` shard threads
-//! (bit-identical for any `S`; composes with `--jobs`).
+//! parallelism); the lane sweep fans out its three routers instead, so
+//! it gains nothing from more than three jobs. Rows are computed into
+//! slots and printed in sweep order, so the CSV is bit-identical for
+//! any `--jobs` value. `--shards S` additionally runs each simulation
+//! on `S` shard threads (bit-identical for any `S`; composes with
+//! `--jobs`).
 //!
 //! Observability: `--trace PATH`, `--metrics-out PATH`, and
 //! `--watchdog K` attach recording sinks to every sweep point; metrics
 //! rows carry a `label` identifying the point (the CSV itself is
 //! unchanged by recording). `--faults PLAN.json` injects a
 //! `fadr-faults/1` plan into every sweep point (degraded-mode routing).
+//!
+//! Numeric flags parse strictly: `--n` must be a hypercube dimension
+//! `1..=30`, `--cycles` positive, `--table` in `1..=12`. Exit codes
+//! follow the `lint`/`certify`/`replay` convention: 0 on success, 2 on
+//! a usage or I/O error.
 
 #![forbid(unsafe_code)]
 
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use fadr_bench::exec;
 use fadr_bench::obs::{self, MetricsRow, ObsArgs, RecordConfig};
 use fadr_bench::runner::{
-    dynamic_random_lanes, dynamic_random_recorded, run_rows_recorded, spec, Algo, LanePoint,
-    RunOptions, SnapshotPolicy,
+    dynamic_random_lanes, dynamic_random_recorded, run_rows_recorded, spec, Algo, RunOptions,
+    SnapshotPolicy,
 };
 use fadr_core::{EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang};
-use fadr_sim::{FaultPlan, PartitionStrategy, SimConfig};
+use fadr_qdg::RoutingFunction;
+use fadr_sim::{FaultPlan, LaneSim, PartitionStrategy, SimConfig};
+use fadr_topology::Hypercube;
+
+/// The offered loads of both λ sweeps, in output order.
+const LAMBDAS: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
 const ALGOS: [(&str, Algo); 3] = [
     ("fully-adaptive", Algo::FullyAdaptive),
@@ -55,7 +72,6 @@ const ALGOS: [(&str, Algo); 3] = [
 /// three algorithms run on the same n-cube, so the partition — a pure
 /// function of topology, shard count, and strategy — is shared).
 fn print_partition_stats(n: usize, shards: usize, partition: PartitionStrategy) {
-    use fadr_qdg::RoutingFunction;
     if shards <= 1 {
         return;
     }
@@ -78,7 +94,6 @@ fn lambda_sweep(
     faults: Option<&'static FaultPlan>,
     snap: Option<SnapshotPolicy>,
 ) -> Vec<MetricsRow> {
-    const LAMBDAS: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
     let size = 1usize << n;
     print_partition_stats(n, shards, partition);
     let points = exec::run_indexed(LAMBDAS.len() * ALGOS.len(), jobs, |i| {
@@ -152,47 +167,58 @@ fn lambda_sweep(
     metrics
 }
 
-/// The lane-batched λ sweep: every `(lambda, algo)` point runs `lanes`
-/// independent replications inside one [`fadr_sim::LaneSim`] (one
-/// shared memoized routing table, per-lane RNG streams split from the
-/// base seed) and reports mean ± 95% CI per column. Points still fan
-/// out over `--jobs`, and the CSV is printed in sweep order, so output
-/// is bit-identical for any `--jobs` value.
+/// The lane-batched λ sweep, run router-major: each router builds one
+/// [`LaneSim`] — and with it the routing-state table, the engine's one
+/// expensive set-up — and runs every λ on it in order (each run resets
+/// every lane, so a reused engine is exact). Routers fan out over
+/// `--jobs`; each work unit drops its engine when it finishes, so at
+/// `--jobs 1` only one table is alive at a time. Every point runs
+/// `lanes` independent replications (per-lane RNG streams split from
+/// the base seed) and reports mean ± 95% CI per column. Rows print in
+/// λ-major, router-minor order, bit-identical for any `--jobs` value.
 fn lambda_sweep_lanes(n: usize, cycles: u64, jobs: usize, lanes: usize) {
-    const LAMBDAS: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-    let fmt_point = |lambda: f64, name: &str, p: &LanePoint| {
-        format!(
-            "{lambda},{name},{:.4},{:.4},{:.2},{:.2},{},{:.3},{:.3}",
-            p.throughput.mean,
-            p.throughput.half_width,
-            p.l_avg.mean,
-            p.l_avg.half_width,
-            p.l_max,
-            p.injection_rate.mean,
-            p.injection_rate.half_width
-        )
-    };
-    let points = exec::run_indexed(LAMBDAS.len() * ALGOS.len(), jobs, |i| {
-        let lambda = LAMBDAS[i / ALGOS.len()];
-        let (name, algo) = ALGOS[i % ALGOS.len()];
-        let cfg = SimConfig::default();
-        let point = match algo {
+    fn router_points<R: RoutingFunction>(
+        rf: R,
+        name: &str,
+        cycles: u64,
+        lanes: usize,
+    ) -> Vec<String> {
+        let mut sim = LaneSim::new(rf, SimConfig::default(), lanes);
+        LAMBDAS
+            .iter()
+            .map(|&lambda| {
+                let p = dynamic_random_lanes(&mut sim, lambda, cycles);
+                format!(
+                    "{lambda},{name},{:.4},{:.4},{:.2},{:.2},{},{:.3},{:.3}",
+                    p.throughput.mean,
+                    p.throughput.half_width,
+                    p.l_avg.mean,
+                    p.l_avg.half_width,
+                    p.l_max,
+                    p.injection_rate.mean,
+                    p.injection_rate.half_width
+                )
+            })
+            .collect()
+    }
+    let rows = exec::run_indexed(ALGOS.len(), jobs, |i| {
+        let (name, algo) = ALGOS[i];
+        match algo {
             Algo::FullyAdaptive => {
-                dynamic_random_lanes(HypercubeFullyAdaptive::new(n), cfg, lambda, cycles, lanes)
+                router_points(HypercubeFullyAdaptive::new(n), name, cycles, lanes)
             }
-            Algo::StaticHang => {
-                dynamic_random_lanes(HypercubeStaticHang::new(n), cfg, lambda, cycles, lanes)
-            }
-            Algo::EcubeSbp => dynamic_random_lanes(EcubeSbp::new(n), cfg, lambda, cycles, lanes),
-        };
-        fmt_point(lambda, name, &point)
+            Algo::StaticHang => router_points(HypercubeStaticHang::new(n), name, cycles, lanes),
+            Algo::EcubeSbp => router_points(EcubeSbp::new(n), name, cycles, lanes),
+        }
     });
     println!(
         "lambda,algo,throughput_mean,throughput_ci95,l_avg_mean,l_avg_ci95,l_max,\
          injection_rate_mean,injection_rate_ci95"
     );
-    for line in points {
-        println!("{line}");
+    for l in 0..LAMBDAS.len() {
+        for router in &rows {
+            println!("{}", router[l]);
+        }
     }
 }
 
@@ -245,9 +271,50 @@ fn capacity_sweep(
     metrics
 }
 
+/// Parse `flag`'s value strictly as a number in `range`; `what` names
+/// the accepted values in the error message.
+fn parse_in<T>(
+    flag: &str,
+    value: Option<&String>,
+    range: RangeInclusive<T>,
+    what: &str,
+) -> Result<T, String>
+where
+    T: FromStr + PartialOrd,
+{
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse::<T>() {
+        Ok(x) if range.contains(&x) => Ok(x),
+        _ => Err(format!("{flag} must be {what}, got {v:?}")),
+    }
+}
+
+/// Exit code of a usage or I/O error (the `lint`/`certify`/`replay`
+/// convention).
+const USAGE_ERROR: u8 = 2;
+
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mode = args.next().unwrap_or_default();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(USAGE_ERROR)
+        }
+    }
+}
+
+fn run(argv: &[String]) -> Result<(), String> {
+    let usage = || {
+        format!(
+            "usage: sweep <lambda|capacity> [--n N] [--cycles C] [--table K] [--jobs J] [--shards S] [--lanes R] [--partition P] {}",
+            ObsArgs::USAGE
+        )
+    };
+    let (mode, rest) = argv.split_first().ok_or_else(usage)?;
+    if mode != "lambda" && mode != "capacity" {
+        return Err(usage());
+    }
     let mut n = 8usize;
     let mut cycles = 300u64;
     let mut table = 6usize;
@@ -256,113 +323,68 @@ fn main() -> ExitCode {
     let mut lanes = 1usize;
     let mut partition = PartitionStrategy::Auto;
     let mut obs_args = ObsArgs::default();
-    let rest: Vec<String> = args.collect();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--n" => n = it.next().and_then(|v| v.parse().ok()).unwrap_or(n),
-            "--cycles" => cycles = it.next().and_then(|v| v.parse().ok()).unwrap_or(cycles),
-            "--table" => table = it.next().and_then(|v| v.parse().ok()).unwrap_or(table),
-            "--jobs" => match it.next().map(|v| exec::parse_jobs(v)) {
-                Some(Ok(j)) => jobs = j,
-                _ => {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shards" => match it.next().map(|v| exec::parse_shards(v)) {
-                Some(Ok(s)) => shards = s,
-                _ => {
-                    eprintln!("--shards needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--lanes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(r) if r >= 1 => lanes = r,
-                _ => {
-                    eprintln!("--lanes needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--partition" => match it.next().map(|v| v.parse::<PartitionStrategy>()) {
-                Some(Ok(p)) => partition = p,
-                _ => {
-                    eprintln!("--partition needs auto|contiguous|hamming|bisection|bfs");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--n" => {
+                let what = format!("a hypercube dimension in 1..={}", Hypercube::MAX_DIMS);
+                n = parse_in("--n", it.next(), 1..=Hypercube::MAX_DIMS, &what)?;
+            }
+            "--cycles" => {
+                cycles = parse_in("--cycles", it.next(), 1..=u64::MAX, "a positive integer")?;
+            }
+            "--table" => {
+                table = parse_in("--table", it.next(), 1..=12, "a table number in 1..=12")?;
+            }
+            "--jobs" => jobs = exec::parse_jobs(it.next().ok_or("--jobs needs a value")?)?,
+            "--shards" => {
+                shards = exec::parse_shards(it.next().ok_or("--shards needs a value")?)?;
+            }
+            "--lanes" => {
+                lanes = parse_in("--lanes", it.next(), 1..=usize::MAX, "a positive integer")?;
+            }
+            "--partition" => {
+                partition = it
+                    .next()
+                    .ok_or("--partition needs a value")?
+                    .parse()
+                    .map_err(|e: String| format!("--partition: {e}"))?;
+            }
             other => {
                 let mut next = |flag: &str| {
                     it.next()
                         .cloned()
                         .ok_or_else(|| format!("{flag} needs a value"))
                 };
-                match obs_args.parse_flag(other, &mut next) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("unknown argument {other}");
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
+                if !obs_args.parse_flag(other, &mut next)? {
+                    return Err(format!("unknown argument {other}"));
                 }
             }
         }
     }
-    if let Err(e) = obs_args.validate_shards(shards) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = obs_args.validate_lanes(lanes) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    obs_args.validate_shards(shards)?;
+    obs_args.validate_lanes(lanes)?;
     if lanes > 1 && shards > 1 {
-        eprintln!("--lanes > 1 runs the sequential lane engine; drop --shards");
-        return ExitCode::FAILURE;
+        return Err("--lanes > 1 runs the sequential lane engine; drop --shards".into());
     }
     if lanes > 1 && mode == "capacity" {
-        eprintln!("the capacity sweep does not support --lanes (use the lambda sweep)");
-        return ExitCode::FAILURE;
+        return Err("the capacity sweep does not support --lanes (use the lambda sweep)".into());
     }
     let rc = obs_args.record_config();
-    let faults = match obs_args.load_fault_plan() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let snap = match obs_args.snapshot_policy() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let faults = obs_args.load_fault_plan()?;
+    let snap = obs_args.snapshot_policy()?;
     let metrics = match mode.as_str() {
         "lambda" if lanes > 1 => {
             lambda_sweep_lanes(n, cycles, jobs, lanes);
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
         "lambda" => lambda_sweep(n, cycles, jobs, shards, partition, rc, faults, snap),
-        "capacity" => capacity_sweep(n, table, jobs, shards, partition, rc, faults, snap),
-        _ => {
-            eprintln!(
-                "usage: sweep <lambda|capacity> [--n N] [--cycles C] [--table K] [--jobs J] [--shards S] [--lanes R] [--partition P] {}",
-                ObsArgs::USAGE
-            );
-            return ExitCode::FAILURE;
-        }
+        _ => capacity_sweep(n, table, jobs, shards, partition, rc, faults, snap),
     };
     if obs_args.enabled() {
         obs::report(&metrics);
-        if let Err(e) = obs::export(&obs_args, "mixed", &metrics) {
-            eprintln!("failed to write observability output: {e}");
-            return ExitCode::FAILURE;
-        }
+        obs::export(&obs_args, "mixed", &metrics)
+            .map_err(|e| format!("failed to write observability output: {e}"))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

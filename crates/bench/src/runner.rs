@@ -1072,18 +1072,17 @@ pub struct LanePoint {
     pub delivered: u64,
 }
 
-/// One dynamic uniform-random sweep point replicated across `lanes` RNG
-/// lanes of one batched engine (lane seeds derive from `cfg.seed` via
-/// [`fadr_sim::lane_seeds`]), reduced to [`LanePoint`] statistics.
+/// One dynamic uniform-random sweep point run on every lane of `sim`,
+/// reduced to [`LanePoint`] statistics. Each run resets every lane, so
+/// one engine — and its routing-state table, built once in
+/// [`LaneSim::new`] — serves any number of points in any order, each
+/// result equal to a fresh engine's at that λ.
 pub fn dynamic_random_lanes<R: RoutingFunction>(
-    rf: R,
-    cfg: SimConfig,
+    sim: &mut LaneSim<R>,
     lambda: f64,
     cycles: u64,
-    lanes: usize,
 ) -> LanePoint {
-    let size = rf.topology().num_nodes();
-    let mut sim = LaneSim::new(rf, cfg, lanes);
+    let size = sim.num_nodes();
     let results = sim.run_dynamic(
         lambda,
         move |s, rng| Pattern::Random.draw(s, size, rng),

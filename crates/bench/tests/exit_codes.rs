@@ -1,6 +1,7 @@
 //! The `replay` binary's exit-code contract: 0 clean, 1 when a journal
 //! divergence is found, 2 on usage or I/O errors — the workspace-wide
-//! convention shared with `certify` and `lint`.
+//! convention shared with `certify` and `lint`. `sweep` follows it too:
+//! every usage error exits 2, never a fallback default or a panic.
 
 use std::process::Command;
 
@@ -54,4 +55,31 @@ fn help_exits_zero() {
     let (code, stdout, _) = replay(&["--help"]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("usage: replay"), "{stdout}");
+}
+
+#[test]
+fn sweep_usage_errors_exit_two() {
+    // Each case carries a small `--n`/`--cycles` where it can, so a
+    // build that wrongly accepts it finishes fast instead of sweeping.
+    for args in [
+        &[][..],
+        &["bogus"],
+        &["lambda", "--n", "abc", "--cycles", "1"],
+        &["capacity", "--n", "3", "--table", "x"],
+        &["lambda", "--n", "0", "--cycles", "1"],
+        &["lambda", "--n", "40", "--cycles", "1"],
+        &["capacity", "--n", "3", "--table", "99"],
+        &["lambda", "--n", "3", "--cycles", "0"],
+        &["lambda", "--n", "3", "--cycles", "1", "--jobs", "0"],
+        &["lambda", "--n", "3", "--cycles", "1", "--bogus"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(args)
+            .output()
+            .expect("spawn sweep");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "args {args:?} printed output");
+        assert!(!stderr.contains("panicked"), "args {args:?}: {stderr}");
+    }
 }

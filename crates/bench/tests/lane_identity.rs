@@ -9,7 +9,7 @@ use fadr_bench::runner::{
     dynamic_random_lanes, run_row, run_row_lanes, run_rows, run_rows_lanes, spec, RunOptions,
 };
 use fadr_core::HypercubeFullyAdaptive;
-use fadr_sim::SimConfig;
+use fadr_sim::{LaneSim, SimConfig};
 
 /// Reduced scale so the whole matrix stays fast: small cubes, three
 /// replications (so the rep-seed derivation is actually exercised),
@@ -95,11 +95,9 @@ fn custom_seed_and_reps_reproduce() {
 #[test]
 fn dynamic_random_lanes_aggregates_all_lanes() {
     let p = dynamic_random_lanes(
-        HypercubeFullyAdaptive::new(5),
-        SimConfig::default(),
+        &mut LaneSim::new(HypercubeFullyAdaptive::new(5), SimConfig::default(), 4),
         1.0,
         60,
-        4,
     );
     assert_eq!(p.throughput.n, 4, "one throughput sample per lane");
     assert_eq!(p.l_avg.n, 4);
@@ -114,11 +112,9 @@ fn dynamic_random_lanes_aggregates_all_lanes() {
     // distribution in expectation; at minimum the math must not blow up
     // at the smallest admissible count.
     let p2 = dynamic_random_lanes(
-        HypercubeFullyAdaptive::new(5),
-        SimConfig::default(),
+        &mut LaneSim::new(HypercubeFullyAdaptive::new(5), SimConfig::default(), 2),
         1.0,
         60,
-        2,
     );
     assert_eq!(p2.throughput.n, 2);
 }

@@ -620,9 +620,11 @@ impl<R: RoutingFunction> LaneSim<R> {
         &self.seeds
     }
 
-    /// Distinct reachable `(node, class, msg)` routing states in the
-    /// shared precomputed table (fixed at construction; a diagnostic
-    /// for table size and precompute coverage).
+    /// Entries in the shared routing memo: the distinct reachable
+    /// `(node, class, msg)` states whose routing-function results the
+    /// table stores (a diagnostic for table size and precompute
+    /// coverage). Every entry is computed at construction and the table
+    /// never grows, so the count is the same before and after any run.
     pub fn memo_entries(&self) -> usize {
         self.table.rows.len()
     }

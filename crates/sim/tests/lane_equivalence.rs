@@ -312,8 +312,9 @@ fn fill_orders_lane_identity() {
 
 #[test]
 fn memo_table_reuse_across_runs_is_exact() {
-    // A second run on the same engine starts with a fully warm memo
-    // table; results must not change, and the table must have grown.
+    // The routing-state table is built eagerly in `LaneSim::new`, so a
+    // second run on the same engine reuses it as is: results must not
+    // change, and the table must keep its size.
     let rf = TorusTwoPhase::new(4, 4);
     let mut batch = LaneSim::new(rf, instrumented_cfg(), 4);
     let first = batch.run_dynamic(0.6, |s, rng| Pattern::Random.draw(s, 16, rng), 150);
@@ -326,6 +327,32 @@ fn memo_table_reuse_across_runs_is_exact() {
         batch.memo_entries(),
         "identical rerun grew the table"
     );
+}
+
+/// One engine runs λ = 0.05, 0.5, 1.0, 0.3 in turn (the lane sweep's
+/// reuse pattern, out of order); each result must equal a fresh
+/// engine's at that λ.
+fn assert_reuse_across_lambdas_is_exact<R: RoutingFunction + Clone>(name: &str, rf: R) {
+    let size = rf.topology().num_nodes();
+    let cfg = instrumented_cfg();
+    let mut reused = LaneSim::new(rf.clone(), cfg, 3);
+    for lambda in [0.05, 0.5, 1.0, 0.3] {
+        let got = reused.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, size, rng), 120);
+        let fresh = LaneSim::new(rf.clone(), cfg, 3).run_dynamic(
+            lambda,
+            |s, rng| Pattern::Random.draw(s, size, rng),
+            120,
+        );
+        assert_eq!(got, fresh, "{name} λ={lambda}: reused engine diverged");
+    }
+}
+
+#[test]
+fn engine_reuse_across_lambdas_is_exact() {
+    assert_reuse_across_lambdas_is_exact("hypercube(5)", HypercubeFullyAdaptive::new(5));
+    // Two-phase torus routing stutters (internal moves), the other path
+    // through the lane step core.
+    assert_reuse_across_lambdas_is_exact("torus 4x4 two-phase", TorusTwoPhase::new(4, 4));
 }
 
 #[test]

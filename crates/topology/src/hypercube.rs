@@ -17,9 +17,17 @@ pub struct Hypercube {
 }
 
 impl Hypercube {
-    /// Create an n-dimensional hypercube. Panics unless `1 <= n <= 30`.
+    /// Largest dimension [`Hypercube::new`] accepts.
+    pub const MAX_DIMS: usize = 30;
+
+    /// Create an n-dimensional hypercube. Panics unless
+    /// `1 <= n <= Hypercube::MAX_DIMS`.
     pub fn new(dims: usize) -> Self {
-        assert!((1..=30).contains(&dims), "hypercube dims must be 1..=30");
+        assert!(
+            (1..=Self::MAX_DIMS).contains(&dims),
+            "hypercube dims must be 1..={}",
+            Self::MAX_DIMS
+        );
         Self { dims }
     }
 
