@@ -12,13 +12,16 @@
 //!   4-hypercube, the mesh node, and the shuffle-exchange node.
 //!
 //! Without `--out`, everything is printed to stdout; with `--out DIR`,
-//! files `figure<K>.dot` / `figure<K>.txt` are written.
+//! files `figure<K>.dot` / `figure<K>.txt` are written. Exit codes: 0
+//! on success (and for `--help`, which prints to stdout), 2 on a usage
+//! or I/O error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use fadr_bench::exec;
 use fadr_core::{HypercubeFullyAdaptive, MeshFullyAdaptive, ShuffleExchangeRouting};
 use fadr_qdg::dot::{qdg_to_dot, DotOptions};
 use fadr_qdg::explore::build_qdg;
@@ -129,58 +132,56 @@ fn figure(k: usize) -> (String, &'static str) {
     }
 }
 
+const USAGE: &str = "usage: figures [--figure K]... [--out DIR]";
+
 fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(exec::USAGE_ERROR)
+        }
+    }
+}
+
+fn run() -> Result<(), String> {
     let mut figures: Vec<usize> = Vec::new();
     let mut out: Option<PathBuf> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--figure" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(k) if (1..=6).contains(&k) => figures.push(k),
-                _ => {
-                    eprintln!("--figure must be 1..=6");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(d) => out = Some(PathBuf::from(d)),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--figure" => figures.push(exec::parse_in(
+                "--figure",
+                it.next().as_deref(),
+                1..=6,
+                "a figure number in 1..=6",
+            )?),
+            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?)),
             "--help" | "-h" => {
-                eprintln!("usage: figures [--figure K]... [--out DIR]");
-                return ExitCode::SUCCESS;
+                println!("{USAGE}");
+                return Ok(());
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
     }
     if figures.is_empty() {
         figures = (1..=6).collect();
     }
     if let Some(dir) = &out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
     for k in figures {
         let (content, ext) = figure(k);
         match &out {
             Some(dir) => {
                 let path = dir.join(format!("figure{k}.{ext}"));
-                if let Err(e) = std::fs::write(&path, &content) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
+                std::fs::write(&path, &content)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
                 eprintln!("wrote {}", path.display());
             }
             None => println!("{content}"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

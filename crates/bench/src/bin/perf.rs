@@ -54,6 +54,10 @@
 //!   second) with an overlap-aware verdict. The speedup is recorded in
 //!   EXPERIMENTS.md, not asserted: wall-clock thresholds in CI are
 //!   flakes waiting to happen.
+//!
+//! Exit codes follow the workspace convention: 0 on success (and for
+//! `--help`, which prints to stdout), 1 when `--compare self` claims a
+//! direction, 2 on a usage or I/O error.
 
 #![forbid(unsafe_code)]
 
@@ -213,102 +217,119 @@ where
     (seq_delivered, speedup)
 }
 
-fn main() -> ExitCode {
-    let mut samples = 3usize;
-    let mut jobs = exec::default_jobs();
-    let mut shards = 4usize;
-    let mut partition = PartitionStrategy::Auto;
-    let mut out: Option<String> = None;
-    let mut quick = false;
-    let mut large = false;
-    let mut lanes = 32usize;
-    let mut compare_mode: Option<String> = None;
-    let mut obs_args = ObsArgs::default();
+const USAGE: &str = "usage: perf [--samples S] [--jobs J] [--shards S] [--partition P] [--out PATH] [--quick | --large] [--lanes R] [--compare self|lanes]";
+
+/// Parsed command line.
+struct Cli {
+    samples: usize,
+    jobs: usize,
+    shards: usize,
+    partition: PartitionStrategy,
+    out: Option<String>,
+    quick: bool,
+    large: bool,
+    lanes: usize,
+    compare_mode: Option<String>,
+    obs_args: ObsArgs,
+}
+
+/// Parse the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args() -> Result<Option<Cli>, String> {
+    let mut cli = Cli {
+        samples: 3,
+        jobs: exec::default_jobs(),
+        shards: 4,
+        partition: PartitionStrategy::Auto,
+        out: None,
+        quick: false,
+        large: false,
+        lanes: 32,
+        compare_mode: None,
+        obs_args: ObsArgs::default(),
+    };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut next = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match a.as_str() {
-            "--lanes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(r) if r >= 1 => lanes = r,
-                _ => {
-                    eprintln!("--lanes needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+            "--lanes" => {
+                cli.lanes = exec::parse_in(
+                    "--lanes",
+                    Some(&next("--lanes")?),
+                    1..=usize::MAX,
+                    "a positive integer",
+                )?;
+            }
+            "--compare" => match next("--compare")?.as_str() {
+                m @ ("self" | "lanes") => cli.compare_mode = Some(m.to_string()),
+                m => return Err(format!("--compare must be self|lanes, got {m:?}")),
             },
-            "--compare" => match it.next() {
-                Some(m) if m == "self" || m == "lanes" => compare_mode = Some(m),
-                _ => {
-                    eprintln!("--compare needs self|lanes");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--samples" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) if s >= 1 => samples = s,
-                _ => {
-                    eprintln!("--samples needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().map(|v| exec::parse_jobs(&v)) {
-                Some(Ok(j)) => jobs = j,
-                _ => {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--quick" => quick = true,
-            "--large" => large = true,
-            "--shards" => match it.next().map(|v| exec::parse_shards(&v)) {
-                Some(Ok(s)) => shards = s,
-                _ => {
-                    eprintln!("--shards needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--partition" => match it.next().map(|v| v.parse::<PartitionStrategy>()) {
-                Some(Ok(p)) => partition = p,
-                _ => {
-                    eprintln!("--partition needs auto|contiguous|hamming|bisection|bfs");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--samples" => {
+                cli.samples = exec::parse_in(
+                    "--samples",
+                    Some(&next("--samples")?),
+                    1..=usize::MAX,
+                    "a positive integer",
+                )?;
+            }
+            "--jobs" => cli.jobs = exec::parse_jobs(&next("--jobs")?)?,
+            "--out" => cli.out = Some(next("--out")?),
+            "--quick" => cli.quick = true,
+            "--large" => cli.large = true,
+            "--shards" => cli.shards = exec::parse_shards(&next("--shards")?)?,
+            "--partition" => {
+                cli.partition = next("--partition")?
+                    .parse()
+                    .map_err(|e: String| format!("--partition: {e}"))?;
+            }
+            "--help" | "-h" => {
+                println!("{USAGE} {}", ObsArgs::USAGE);
+                return Ok(None);
+            }
             other => {
-                let mut next =
-                    |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-                match obs_args.parse_flag(other, &mut next) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("unknown argument {other}");
-                        eprintln!(
-                            "usage: perf [--samples S] [--jobs J] [--shards S] [--out PATH] [--quick | --large] [--lanes R] [--compare self|lanes] {}",
-                            ObsArgs::USAGE
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
+                if !cli.obs_args.parse_flag(other, &mut next)? {
+                    return Err(format!("unknown argument {other}"));
                 }
             }
         }
     }
+    if cli.compare_mode.is_some() && (cli.obs_args.enabled() || cli.obs_args.faults.is_some()) {
+        return Err("--compare runs recorder-free; drop the observability/fault flags".into());
+    }
+    Ok(Some(cli))
+}
 
+fn main() -> ExitCode {
+    let result = match parse_args() {
+        Ok(Some(cli)) => run(cli),
+        Ok(None) => return ExitCode::SUCCESS,
+        Err(e) => Err(format!("{e}\n{USAGE} {}", ObsArgs::USAGE)),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::from(exec::USAGE_ERROR)
+    })
+}
+
+/// Run the measurements; `Err` is a usage or I/O error (exit 2), while
+/// a failed `--compare self` verdict is a finding (exit 1).
+fn run(cli: Cli) -> Result<ExitCode, String> {
+    let Cli {
+        samples,
+        jobs,
+        shards,
+        partition,
+        out,
+        quick,
+        large,
+        lanes,
+        compare_mode,
+        obs_args,
+    } = cli;
     if let Some(mode) = compare_mode {
-        if obs_args.enabled() || obs_args.faults.is_some() {
-            eprintln!("--compare runs recorder-free; drop the observability/fault flags");
-            return ExitCode::FAILURE;
-        }
-        return match mode.as_str() {
+        return Ok(match mode.as_str() {
             "self" => compare_self(samples.max(2)),
             _ => compare_lanes(samples.max(2), lanes),
-        };
+        });
     }
 
     let stamp = SystemTime::now()
@@ -317,20 +338,8 @@ fn main() -> ExitCode {
     // `--faults` rides every RunOptions-driven workload (the table rows
     // and the instrumented re-runs); the `--large` scenarios stay
     // fault-free so their delivered-count floor keeps holding.
-    let faults = match obs_args.load_fault_plan() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let snapshot = match obs_args.snapshot_policy() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let faults = obs_args.load_fault_plan()?;
+    let snapshot = obs_args.snapshot_policy()?;
     let opts = RunOptions {
         partition,
         faults,
@@ -426,10 +435,8 @@ fn main() -> ExitCode {
         }
     }
     let path = out.unwrap_or_else(|| format!("BENCH_{stamp}.json"));
-    if let Err(e) = std::fs::write(&path, to_json(&meta, &measurements)) {
-        eprintln!("failed to write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&path, to_json(&meta, &measurements))
+        .map_err(|e| format!("failed to write {path}: {e}"))?;
     println!("wrote {path}");
 
     // Instrumented (untimed) re-runs: one static and one dynamic row
@@ -443,10 +450,8 @@ fn main() -> ExitCode {
         }
         println!("# metrics summary (instrumented re-runs, untimed)");
         obs::report(&metrics);
-        if let Err(e) = obs::export(&obs_args, "FullyAdaptive", &metrics) {
-            eprintln!("failed to write observability output: {e}");
-            return ExitCode::FAILURE;
-        }
+        obs::export(&obs_args, "FullyAdaptive", &metrics)
+            .map_err(|e| format!("failed to write observability output: {e}"))?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

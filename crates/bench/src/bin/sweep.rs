@@ -44,9 +44,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::ops::RangeInclusive;
 use std::process::ExitCode;
-use std::str::FromStr;
 
 use fadr_bench::exec;
 use fadr_bench::obs::{self, MetricsRow, ObsArgs, RecordConfig};
@@ -271,35 +269,13 @@ fn capacity_sweep(
     metrics
 }
 
-/// Parse `flag`'s value strictly as a number in `range`; `what` names
-/// the accepted values in the error message.
-fn parse_in<T>(
-    flag: &str,
-    value: Option<&String>,
-    range: RangeInclusive<T>,
-    what: &str,
-) -> Result<T, String>
-where
-    T: FromStr + PartialOrd,
-{
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    match v.parse::<T>() {
-        Ok(x) if range.contains(&x) => Ok(x),
-        _ => Err(format!("{flag} must be {what}, got {v:?}")),
-    }
-}
-
-/// Exit code of a usage or I/O error (the `lint`/`certify`/`replay`
-/// convention).
-const USAGE_ERROR: u8 = 2;
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            ExitCode::from(USAGE_ERROR)
+            ExitCode::from(exec::USAGE_ERROR)
         }
     }
 }
@@ -328,20 +304,40 @@ fn run(argv: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--n" => {
                 let what = format!("a hypercube dimension in 1..={}", Hypercube::MAX_DIMS);
-                n = parse_in("--n", it.next(), 1..=Hypercube::MAX_DIMS, &what)?;
+                n = exec::parse_in(
+                    "--n",
+                    it.next().map(String::as_str),
+                    1..=Hypercube::MAX_DIMS,
+                    &what,
+                )?;
             }
             "--cycles" => {
-                cycles = parse_in("--cycles", it.next(), 1..=u64::MAX, "a positive integer")?;
+                cycles = exec::parse_in(
+                    "--cycles",
+                    it.next().map(String::as_str),
+                    1..=u64::MAX,
+                    "a positive integer",
+                )?;
             }
             "--table" => {
-                table = parse_in("--table", it.next(), 1..=12, "a table number in 1..=12")?;
+                table = exec::parse_in(
+                    "--table",
+                    it.next().map(String::as_str),
+                    1..=12,
+                    "a table number in 1..=12",
+                )?;
             }
             "--jobs" => jobs = exec::parse_jobs(it.next().ok_or("--jobs needs a value")?)?,
             "--shards" => {
                 shards = exec::parse_shards(it.next().ok_or("--shards needs a value")?)?;
             }
             "--lanes" => {
-                lanes = parse_in("--lanes", it.next(), 1..=usize::MAX, "a positive integer")?;
+                lanes = exec::parse_in(
+                    "--lanes",
+                    it.next().map(String::as_str),
+                    1..=usize::MAX,
+                    "a positive integer",
+                )?;
             }
             "--partition" => {
                 partition = it

@@ -33,6 +33,11 @@
 //! * `--faults PLAN.json` — inject the `fadr-faults/1` plan into every
 //!   run (degraded-mode routing; rows that abort on a fault partition
 //!   are flagged like watchdog aborts).
+//!
+//! Numeric flags parse strictly (`--cycles`, `--reps` and `--lanes`
+//! must be positive). Exit codes follow the workspace convention: 0 on
+//! success (and for `--help`, which prints to stdout), 2 on a usage or
+//! I/O error.
 
 #![forbid(unsafe_code)]
 
@@ -55,7 +60,15 @@ struct Args {
     obs: ObsArgs,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn usage() -> String {
+    format!(
+        "usage: tables [--table K]... [--full] [--cap N] [--cycles N] [--seed S] [--reps R] [--algo A] [--jobs J] [--shards S] [--partition P] [--lanes R] [--csv] {}",
+        ObsArgs::USAGE
+    )
+}
+
+/// Parse the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         tables: Vec::new(),
         full: false,
@@ -71,43 +84,52 @@ fn parse_args() -> Result<Args, String> {
         let mut next = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match a.as_str() {
             "--table" => {
-                let t: usize = next("--table")?
-                    .parse()
-                    .map_err(|e| format!("--table: {e}"))?;
-                if !(1..=12).contains(&t) {
-                    return Err("--table must be 1..=12".into());
-                }
+                let t = exec::parse_in(
+                    "--table",
+                    Some(&next("--table")?),
+                    1..=12,
+                    "a table number in 1..=12",
+                )?;
                 args.tables.push(t);
             }
             "--full" => args.full = true,
             "--csv" => args.csv = true,
             "--cap" => {
-                args.opts.queue_capacity =
-                    next("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?;
+                args.opts.queue_capacity = exec::parse_in(
+                    "--cap",
+                    Some(&next("--cap")?),
+                    0..=usize::MAX,
+                    "a queue capacity",
+                )?;
             }
             "--cycles" => {
-                args.opts.dynamic_cycles = next("--cycles")?
-                    .parse()
-                    .map_err(|e| format!("--cycles: {e}"))?;
+                args.opts.dynamic_cycles = exec::parse_in(
+                    "--cycles",
+                    Some(&next("--cycles")?),
+                    1..=u64::MAX,
+                    "a positive integer",
+                )?;
             }
             "--seed" => {
-                args.opts.seed = next("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
+                args.opts.seed =
+                    exec::parse_in("--seed", Some(&next("--seed")?), 0..=u64::MAX, "an integer")?;
             }
             "--reps" => {
-                args.opts.reps = next("--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
+                args.opts.reps = exec::parse_in(
+                    "--reps",
+                    Some(&next("--reps")?),
+                    1..=u32::MAX,
+                    "a positive integer",
+                )?;
                 reps_given = true;
             }
             "--lanes" => {
-                args.lanes = next("--lanes")?
-                    .parse()
-                    .map_err(|e| format!("--lanes: {e}"))?;
-                if args.lanes == 0 {
-                    return Err("--lanes must be at least 1".into());
-                }
+                args.lanes = exec::parse_in(
+                    "--lanes",
+                    Some(&next("--lanes")?),
+                    1..=usize::MAX,
+                    "a positive integer",
+                )?;
             }
             "--algo" => {
                 let v = next("--algo")?;
@@ -126,10 +148,8 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e: String| format!("--partition: {e}"))?;
             }
             "--help" | "-h" => {
-                return Err(format!(
-                    "usage: tables [--table K]... [--full] [--cap N] [--cycles N] [--seed S] [--reps R] [--algo A] [--jobs J] [--shards S] [--partition P] [--lanes R] [--csv] {}",
-                    ObsArgs::USAGE
-                ));
+                println!("{}", usage());
+                return Ok(None);
             }
             other => {
                 if !args.obs.parse_flag(other, &mut next)? {
@@ -157,15 +177,17 @@ fn parse_args() -> Result<Args, String> {
         args.obs.validate_lanes(args.lanes)?;
         args.opts.reps = u32::try_from(args.lanes).map_err(|_| "--lanes is too large")?;
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            eprintln!("{}", usage());
+            return ExitCode::from(exec::USAGE_ERROR);
         }
     };
     eprintln!(
@@ -204,7 +226,7 @@ fn main() -> ExitCode {
         let algo = format!("{:?}", args.opts.algo);
         if let Err(e) = obs::export(&args.obs, &algo, &metrics) {
             eprintln!("failed to write observability output: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(exec::USAGE_ERROR);
         }
     }
     ExitCode::SUCCESS

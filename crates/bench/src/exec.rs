@@ -12,6 +12,8 @@
 //! Built on `std::thread::scope` only; no external dependencies.
 
 use std::num::NonZeroUsize;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: the machine's available parallelism (1 if it
@@ -80,6 +82,33 @@ where
         .collect()
 }
 
+/// Exit code of a usage or I/O error, shared by every binary in the
+/// workspace (`lint`, `certify`, `replay`, `sweep`, `tables`,
+/// `figures`, `perf`): 0 clean, 1 findings, 2 usage or I/O.
+pub const USAGE_ERROR: u8 = 2;
+
+/// Parse `flag`'s value strictly as a number in `range`; `what` names
+/// the accepted values in the error message.
+///
+/// # Errors
+///
+/// A missing value, an unparsable one, or one outside `range`.
+pub fn parse_in<T>(
+    flag: &str,
+    value: Option<&str>,
+    range: RangeInclusive<T>,
+    what: &str,
+) -> Result<T, String>
+where
+    T: FromStr + PartialOrd,
+{
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse::<T>() {
+        Ok(x) if range.contains(&x) => Ok(x),
+        _ => Err(format!("{flag} must be {what}, got {v:?}")),
+    }
+}
+
 /// Parse a `--jobs` value: a positive thread count.
 pub fn parse_jobs(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
@@ -139,6 +168,14 @@ mod tests {
         assert!(parse_jobs("0").is_err());
         assert!(parse_jobs("-2").is_err());
         assert!(parse_jobs("many").is_err());
+    }
+
+    #[test]
+    fn parse_in_is_strict() {
+        assert_eq!(parse_in("--k", Some("3"), 1..=5u32, "1..=5"), Ok(3));
+        for bad in [None, Some("0"), Some("6"), Some("-1"), Some("x"), Some("")] {
+            assert!(parse_in("--k", bad, 1..=5u32, "1..=5").is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! routing options in a shared [`OptionArena`] (see [`crate::store`]);
 //! output/input-buffer occupancy is mirrored in dense bitsets so the
 //! link pass can test a whole channel with two word fetches instead of
-//! a per-buffer scan.
+//! a per-buffer scan. The fill and read passes run the mask kernels of
+//! [`crate::kernel`], the same ones [`crate::LaneSim`] runs.
 
 use std::sync::Arc;
 
@@ -19,11 +20,12 @@ use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, RoutingFuncti
 use fadr_topology::NodeId;
 
 use crate::fault::{FaultKind, FaultPlan, FaultState};
+use crate::kernel::{self, ReadSlots};
 use crate::layout::{Layout, NONE};
 use crate::partition::OwnedNodes;
 use crate::snapshot::{self, Loc, PacketRec, ParsedSnapshot};
 use crate::store::{BitSet, MoveOpt, OptionArena, PacketInit, PacketStore};
-use crate::{FillOrder, SimConfig};
+use crate::SimConfig;
 
 /// Why a simulation run ended.
 ///
@@ -284,16 +286,18 @@ pub struct Simulator<R: RoutingFunction, Rec: Recorder = NoRecorder> {
     node_fifo: Vec<Vec<u32>>,
     outbuf: Vec<u32>,
     inbuf: Vec<u32>,
-    /// Occupied input buffers per node (read-phase skip list).
-    in_occupied: Vec<u32>,
+    /// Per node: its occupied input buffers, as a slot mask (bit `i` ⇔
+    /// the node's `i`-th input buffer holds a packet) under the layout's
+    /// `fast_read` predicate and as a count otherwise (see
+    /// [`Layout::occupy`]). Every `inbuf` writer goes through
+    /// [`Simulator::set_in`] / [`Simulator::clear_in`], which keep it.
+    in_mask: Vec<u64>,
     /// Round-robin pointer per channel (link-phase fairness). `u16`
     /// because a channel may carry up to 257 buffer classes.
     chan_rr: Vec<u16>,
     /// Occupied output buffers per channel (link-phase skip count;
     /// `u16` for the same 257-class reason as `chan_rr`).
     chan_pending: Vec<u16>,
-    /// Buffer id → channel id (derived from the layout once).
-    buf_chan: Vec<u32>,
     /// Injection buffer per node (`NONE` = empty).
     inj_buf: Vec<u32>,
     /// Struct-of-arrays packet slab (slots recycled, uids never).
@@ -327,8 +331,15 @@ pub struct Simulator<R: RoutingFunction, Rec: Recorder = NoRecorder> {
     partitioned: Vec<u32>,
     /// Packets destroyed by node-down faults this run.
     dropped: u64,
-    // Scratch (reused across nodes/cycles).
+    /// Some packet this run had an internal (stutter) option, so the
+    /// fill pass must look for stutters (never set on routing functions
+    /// without internal hops, which then skip that scan entirely).
+    any_stutters: bool,
+    // Scratch (reused across nodes/cycles). `wanting` serves only the
+    // position-major fill scan of layouts failing `fast_fill`;
+    // `staging` holds one node's `(packet, position)` fill decisions.
     wanting: Vec<Vec<u32>>,
+    staging: Vec<(u32, u32)>,
     stutters: Vec<u32>,
 }
 
@@ -359,13 +370,11 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     pub(crate) fn with_shared_layout(rf: R, cfg: SimConfig, rec: Rec, layout: Arc<Layout>) -> Self {
         let n = layout.num_nodes;
         let num_classes = rf.num_classes();
-        let max_out = layout.node_out_bufs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut buf_chan = vec![0u32; layout.num_buffers()];
-        for chan in 0..layout.num_channels() {
-            let start = layout.chan_buf_start[chan] as usize;
-            let len = layout.chan_buf_len[chan] as usize;
-            buf_chan[start..start + len].fill(chan as u32);
-        }
+        let max_out = if layout.fast_fill {
+            0
+        } else {
+            layout.node_out_bufs.iter().map(Vec::len).max().unwrap_or(0)
+        };
         Self {
             cfg,
             rec,
@@ -375,10 +384,9 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             node_fifo: vec![Vec::new(); n],
             outbuf: vec![NONE; layout.num_buffers()],
             inbuf: vec![NONE; layout.num_buffers()],
-            in_occupied: vec![0; n],
+            in_mask: vec![0; n],
             chan_rr: vec![0; layout.num_channels()],
             chan_pending: vec![0; layout.num_channels()],
-            buf_chan,
             inj_buf: vec![NONE; n],
             store: PacketStore::new(),
             opts: OptionArena::new(),
@@ -396,7 +404,9 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             faults: None,
             partitioned: Vec::new(),
             dropped: 0,
+            any_stutters: false,
             wanting: vec![Vec::new(); max_out],
+            staging: Vec::new(),
             stutters: Vec::new(),
             layout,
             rf,
@@ -481,7 +491,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         }
         self.outbuf.fill(NONE);
         self.inbuf.fill(NONE);
-        self.in_occupied.fill(0);
+        self.in_mask.fill(0);
         self.chan_rr.fill(0);
         self.chan_pending.fill(0);
         self.inj_buf.fill(NONE);
@@ -498,6 +508,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         self.occupancy = OccupancyProbe::default();
         self.minimality_violations = 0;
         self.dropped = 0;
+        self.any_stutters = false;
         self.partitioned.clear();
         self.faults = self
             .fault_plan
@@ -788,7 +799,6 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             inject_cycle: self.cycle,
             enqueued_at: self.cycle,
             moved_at: u64::MAX,
-            staged: false,
             msg,
             next_class: 0,
             class: 0,
@@ -854,7 +864,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
                     if buf == NONE {
                         continue;
                     }
-                    let chan = self.buf_chan[buf as usize] as usize;
+                    let chan = self.layout.buf_chan[buf as usize] as usize;
                     let w = self.layout.chan_to[chan];
                     let c2 = self.opts.to_class[i];
                     if is_full(w, c2) {
@@ -921,77 +931,82 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     /// Fill pass for a single node (a shard runs this over the node
     /// range it owns; the node's queues, output buffers, and packet
     /// state are all shard-local).
+    ///
+    /// Under the layout's `fast_fill` predicate this is one FIFO pass
+    /// over the packets' want masks ([`kernel::fill_pass`]); a packet in
+    /// a frozen queue offers an empty mask, so fault runs take the same
+    /// path. Other layouts build per-position wanting lists and run
+    /// [`kernel::fill_scan`].
     pub(crate) fn fill_node(&mut self, node: usize) {
         if self.node_fifo[node].is_empty() {
             return;
         }
         let n_out = self.layout.node_out_bufs[node].len();
-        // Build per-buffer "wanting" lists in FIFO order.
-        for w in self.wanting.iter_mut().take(n_out) {
-            w.clear();
-        }
-        self.stutters.clear();
-        for &p in &self.node_fifo[node] {
-            if let Some(fs) = &self.faults {
-                // A frozen queue refuses all movement: its packets
-                // neither stage onto links nor stutter until the thaw.
-                let class = self.store.class[p as usize];
-                if fs.frozen(node * self.num_classes + usize::from(class), self.cycle) {
+        let order = self.cfg.fill_order;
+        let start = kernel::fill_start(order, self.cycle, node, n_out);
+        let mut staging = std::mem::take(&mut self.staging);
+        staging.clear();
+        let fifo = &self.node_fifo[node];
+        let cycle = self.cycle;
+        let nc = self.num_classes;
+        let (class, wants) = (&self.store.class, &self.store.wants);
+        // A frozen queue refuses all movement: its packets neither stage
+        // onto links nor stutter until the thaw.
+        let frozen =
+            |fs: &FaultState, p: u32| fs.frozen(node * nc + usize::from(class[p as usize]), cycle);
+        if self.layout.fast_fill {
+            let first = self.layout.first_out[node] as usize;
+            let ones = if n_out == 64 { !0 } else { (1u64 << n_out) - 1 };
+            let avail = !self.out_occ.extract(first, n_out) & ones;
+            match &self.faults {
+                None => kernel::fill_pass(
+                    fifo.iter().map(|&p| (p, wants[p as usize])),
+                    avail,
+                    order,
+                    start,
+                    &mut staging,
+                ),
+                Some(fs) => kernel::fill_pass(
+                    fifo.iter()
+                        .map(|&p| (p, if frozen(fs, p) { 0 } else { wants[p as usize] })),
+                    avail,
+                    order,
+                    start,
+                    &mut staging,
+                ),
+            }
+        } else {
+            for w in self.wanting.iter_mut().take(n_out) {
+                w.clear();
+            }
+            for &p in fifo {
+                if self.faults.as_ref().is_some_and(|fs| frozen(fs, p)) {
                     continue;
                 }
-            }
-            for i in self.store.opt_range(p) {
-                let buf = self.opts.buf[i];
-                if buf == NONE {
-                    self.stutters.push(p);
-                } else {
-                    let pos = self.layout.buf_out_pos[buf as usize] as usize;
-                    self.wanting[pos].push(p);
+                for i in self.store.opt_range(p) {
+                    let buf = self.opts.buf[i];
+                    if buf != NONE {
+                        let pos = self.layout.buf_out_pos[buf as usize] as usize;
+                        self.wanting[pos].push(p);
+                    }
                 }
             }
+            let out_bufs = &self.layout.node_out_bufs[node];
+            let outbuf = &self.outbuf;
+            kernel::fill_scan(
+                &self.wanting,
+                n_out,
+                order,
+                start,
+                |pos| outbuf[out_bufs[pos] as usize] == NONE,
+                &mut staging,
+            );
         }
-        // Buffer-major assignment in the configured fill order.
-        let start = match self.cfg.fill_order {
-            FillOrder::LowToHigh | FillOrder::HighToLow => 0,
-            FillOrder::Rotating => rotating_start(self.cycle, node, n_out),
-        };
-        let mut staged_any = false;
-        for i in 0..n_out {
-            let pos = match self.cfg.fill_order {
-                FillOrder::LowToHigh => i,
-                FillOrder::HighToLow => n_out - 1 - i,
-                FillOrder::Rotating => (start + i) % n_out,
-            };
-            let buf = self.layout.node_out_bufs[node][pos] as usize;
-            if self.outbuf[buf] != NONE {
-                continue;
-            }
-            let Some(&p) = self.wanting[pos]
-                .iter()
-                .find(|&&p| self.store.moved_at[p as usize] != self.cycle)
-            else {
-                continue;
-            };
-            let o = self
-                .store
-                .opt_range(p)
-                .find(|&i| self.opts.buf[i] as usize == buf)
-                .expect("wanting list entry has the option");
-            let pi = p as usize;
-            self.store.msg[pi] = self.opts.next[o].clone();
-            self.store.next_class[pi] = self.opts.to_class[o];
-            self.store.escape[pi] = self.opts.escape[o];
-            self.store.moved_at[pi] = self.cycle;
-            self.store.staged[pi] = true;
-            staged_any = true;
-            self.outbuf[buf] = p;
-            self.out_occ.set(buf);
-            let chan = self.buf_chan[buf] as usize;
-            self.chan_pending[chan] += 1;
-            self.chan_live.set(chan);
+        for &(p, pos) in &staging {
+            self.stage_packet(node, p, pos as usize);
         }
         // Remove staged packets from the node's FIFO (order preserved).
-        if staged_any {
+        if !staging.is_empty() {
             let store = &mut self.store;
             let queue_len = &mut self.queue_len;
             let num_classes = self.num_classes;
@@ -999,8 +1014,9 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             let cycle = self.cycle;
             self.node_fifo[node].retain(|&p| {
                 let pi = p as usize;
-                if store.staged[pi] {
-                    store.staged[pi] = false;
+                // Stutters run after this drain, so a queued packet that
+                // moved this cycle is one the fill pass just staged.
+                if store.moved_at[pi] == cycle {
                     let class = store.class[pi];
                     let q = node * num_classes + usize::from(class);
                     queue_len[q] -= 1;
@@ -1012,6 +1028,54 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
                     true
                 }
             });
+        }
+        self.staging = staging;
+        if self.any_stutters {
+            self.stutter_node(node);
+        }
+    }
+
+    /// Move queued packet `p` onto the output buffer at fill position
+    /// `pos` of `node`, taking the first of its options on that buffer.
+    fn stage_packet(&mut self, node: usize, p: u32, pos: usize) {
+        let buf = self.layout.out_buf(node, pos);
+        let o = self
+            .store
+            .opt_range(p)
+            .find(|&i| self.opts.buf[i] as usize == buf)
+            .expect("fill decision names one of the packet's options");
+        let pi = p as usize;
+        debug_assert_ne!(
+            self.store.moved_at[pi], self.cycle,
+            "queued packet moved twice"
+        );
+        self.store.msg[pi] = self.opts.next[o].clone();
+        self.store.next_class[pi] = self.opts.to_class[o];
+        self.store.escape[pi] = self.opts.escape[o];
+        self.store.moved_at[pi] = self.cycle;
+        self.outbuf[buf] = p;
+        self.out_occ.set(buf);
+        let chan = self.layout.buf_chan[buf] as usize;
+        self.chan_pending[chan] += 1;
+        self.chan_live.set(chan);
+    }
+
+    /// The stutter half of the fill pass at `node`, run after staging.
+    fn stutter_node(&mut self, node: usize) {
+        // Candidates in FIFO order, one entry per packet with an
+        // internal option (a second entry of the same packet would
+        // retry the same blocked check, a no-op), frozen queues
+        // excluded.
+        self.stutters.clear();
+        for &p in &self.node_fifo[node] {
+            let pi = p as usize;
+            if self.store.stutters[pi] == 0 {
+                continue;
+            }
+            let q = node * self.num_classes + usize::from(self.store.class[pi]);
+            if !self.queue_frozen(q) {
+                self.stutters.push(p);
+            }
         }
         // Internal stutters (e.g. the shuffle-exchange's degenerate
         // one-node cycles): advance state without crossing a link,
@@ -1150,8 +1214,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         };
         let b = start + pos;
         let p = self.outbuf[b];
-        self.inbuf[b] = p;
-        self.in_occ.set(b);
+        self.set_in(self.layout.chan_to[chan] as usize, b, p);
         let pi = p as usize;
         self.store.hops[pi] += 1;
         if Rec::ENABLED {
@@ -1171,9 +1234,23 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         if self.chan_pending[chan] == 0 {
             self.chan_live.clear(chan);
         }
-        self.in_occupied[self.layout.chan_to[chan] as usize] += 1;
         self.chan_rr[chan] = ((pos + 1) % len) as u16;
         true
+    }
+
+    /// Place packet `p` in input buffer `b` at node `to` (its channel's
+    /// target), keeping the occupancy bitset and read mask in step.
+    fn set_in(&mut self, to: usize, b: usize, p: u32) {
+        self.inbuf[b] = p;
+        self.in_occ.set(b);
+        self.layout.occupy(&mut self.in_mask[to], b);
+    }
+
+    /// Empty input buffer `b` at node `to`.
+    fn clear_in(&mut self, to: usize, b: usize) {
+        self.inbuf[b] = NONE;
+        self.in_occ.clear(b);
+        self.layout.vacate(&mut self.in_mask[to], b);
     }
 
     /// Node cycle, part 2 (§ 7.1): "the node reads its input buffers and
@@ -1188,31 +1265,49 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     /// Read pass for a single node (shard-local: a node's input buffers
     /// are filled by the link pass of the shard that *owns the node*, so
     /// no cross-shard state is touched here).
+    ///
+    /// Slots are the node's input buffers followed by its injection
+    /// buffer, read in rotating order from `cycle % slots`. Under the
+    /// layout's `fast_read` predicate only the occupied ones are visited
+    /// ([`ReadSlots`] over the node's read mask); otherwise every slot
+    /// is checked.
     pub(crate) fn read_node(&mut self, node: usize) {
-        if self.in_occupied[node] == 0 && self.inj_buf[node] == NONE {
+        let inputs = self.in_mask[node];
+        let inj = self.inj_buf[node] != NONE;
+        if inputs == 0 && !inj {
             return;
         }
-        let n_in = self.layout.node_in_bufs[node].len();
-        let slots = n_in + 1; // input buffers plus the injection buffer
+        let n_in = self.layout.node_in_bufs(node).len();
+        let slots = n_in + 1;
         let start = (self.cycle as usize) % slots;
-        for i in 0..slots {
-            let slot = (start + i) % slots;
-            if slot < n_in {
-                let b = self.layout.node_in_bufs[node][slot] as usize;
-                let p = self.inbuf[b];
-                if p == NONE {
-                    continue;
-                }
-                if self.accept_arrival(node, p) {
-                    self.inbuf[b] = NONE;
-                    self.in_occ.clear(b);
-                    self.in_occupied[node] -= 1;
-                }
-            } else if self.inj_buf[node] != NONE {
-                let p = self.inj_buf[node];
-                if self.accept_injection(node, p) {
-                    self.inj_buf[node] = NONE;
-                }
+        if self.layout.fast_read {
+            for slot in ReadSlots::new(inputs, n_in, inj, start) {
+                self.read_slot(node, slot, n_in);
+            }
+        } else {
+            for i in 0..slots {
+                self.read_slot(node, (start + i) % slots, n_in);
+            }
+        }
+    }
+
+    /// Read slot `slot` of `node` (a no-op when it is empty): input
+    /// buffer `slot` below `n_in`, the injection buffer at `n_in`.
+    fn read_slot(&mut self, node: usize, slot: usize, n_in: usize) {
+        if slot < n_in {
+            let b = self.layout.in_bufs[self.layout.in_start[node] as usize + slot] as usize;
+            let p = self.inbuf[b];
+            debug_assert!(
+                !self.layout.fast_read || p != NONE,
+                "read mask names an empty slot"
+            );
+            if p != NONE && self.accept_arrival(node, p) {
+                self.clear_in(node, b);
+            }
+        } else {
+            let p = self.inj_buf[node];
+            if p != NONE && self.accept_injection(node, p) {
+                self.inj_buf[node] = NONE;
             }
         }
     }
@@ -1367,9 +1462,17 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             self.finalize_options(p, node);
         } else {
             debug_assert!(!opts.is_empty(), "queued packet with no moves (dead end)");
-            self.store.set_options(p, &mut self.opts, &mut opts);
+            self.set_options(p, &mut opts);
             self.opt_scratch = opts;
         }
+    }
+
+    /// Store `opts` as packet `p`'s option segment (with its fill
+    /// summary; see [`PacketStore::set_options`]).
+    fn set_options(&mut self, p: u32, opts: &mut Vec<MoveOpt<R::Msg>>) {
+        self.store
+            .set_options(p, &mut self.opts, opts, &self.layout.buf_out_pos);
+        self.any_stutters |= self.store.stutters[p as usize] != 0;
     }
 
     /// Degraded-mode post-pass over a freshly computed option set: once
@@ -1408,13 +1511,12 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             let fs = self.faults.as_ref().expect("fault state attached");
             let d = fs.distances(dst);
             let here = d[node];
-            let buf_chan = &self.buf_chan;
             let layout = &self.layout;
             opts.retain(|o| {
                 if o.buf == NONE {
                     return false;
                 }
-                let chan = buf_chan[o.buf as usize];
+                let chan = layout.buf_chan[o.buf as usize];
                 if fs.chan_dead(chan) {
                     return false;
                 }
@@ -1454,7 +1556,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
                 opts.push(opt);
             }
         }
-        self.store.set_options(p, &mut self.opts, &mut opts);
+        self.set_options(p, &mut opts);
         self.opt_scratch = opts;
     }
 
@@ -1694,9 +1796,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         for b in start..start + len {
             let p = self.inbuf[b];
             if p != NONE {
-                self.inbuf[b] = NONE;
-                self.in_occ.clear(b);
-                self.in_occupied[to] -= 1;
+                self.clear_in(to, b);
                 self.drop_packet(p);
             }
         }
@@ -1748,7 +1848,6 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         let class = self.entry_class(node, &msg);
         self.store.msg[pi] = msg;
         self.store.escape[pi] = false;
-        self.store.staged[pi] = false;
         self.store.next_class[pi] = class;
         if Rec::ENABLED {
             let uid = self.store.uid[pi];
@@ -2184,10 +2283,6 @@ where
             moved_at: r.moved_at,
             class: r.class,
             next_class: r.next_class,
-            // The pause point sits between the injection pass and the
-            // fill pass, where no packet is staged (fill clears the
-            // flag in the same cycle it sets it).
-            staged: false,
             escape: r.escape,
             msg: r.msg.clone(),
         });
@@ -2224,7 +2319,7 @@ where
                 }
                 self.outbuf[b] = slot;
                 self.out_occ.set(b);
-                let chan = self.buf_chan[b] as usize;
+                let chan = self.layout.buf_chan[b] as usize;
                 self.chan_pending[chan] += 1;
                 self.chan_live.set(chan);
             }
@@ -2233,10 +2328,8 @@ where
                 if b >= self.inbuf.len() || self.inbuf[b] != NONE {
                     return Err(format!("packet {} in a bad input buffer", r.uid));
                 }
-                self.inbuf[b] = slot;
-                self.in_occ.set(b);
-                let chan = self.buf_chan[b] as usize;
-                self.in_occupied[self.layout.chan_to[chan] as usize] += 1;
+                let chan = self.layout.buf_chan[b] as usize;
+                self.set_in(self.layout.chan_to[chan] as usize, b, slot);
             }
         }
         Ok(())
@@ -2389,15 +2482,12 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
             inject_cycle: t.inject_cycle,
             enqueued_at: t.enqueued_at,
             moved_at: t.moved_at,
-            staged: false,
             msg: t.msg,
             next_class: t.next_class,
             class: t.class,
             escape: t.escape,
         });
-        self.inbuf[buf] = slot;
-        self.in_occ.set(buf);
-        self.in_occupied[self.layout.chan_to[chan] as usize] += 1;
+        self.set_in(self.layout.chan_to[chan] as usize, buf, slot);
     }
 
     /// Process a cross-shard acknowledgement: the receiver took the
@@ -2411,7 +2501,7 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
         }
         self.outbuf[buf] = NONE;
         self.out_occ.clear(buf);
-        let chan = self.buf_chan[buf] as usize;
+        let chan = self.layout.buf_chan[buf] as usize;
         self.chan_pending[chan] -= 1;
         if self.chan_pending[chan] == 0 {
             self.chan_live.clear(chan);
@@ -2426,22 +2516,6 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
             self.apply_ack(b as usize);
         }
     }
-}
-
-/// Start position for [`FillOrder::Rotating`] at `node` on `cycle`.
-///
-/// The rotation advances by one buffer per cycle (every buffer still
-/// leads exactly once per `n_out` cycles at every node), but each node's
-/// phase is offset by a golden-ratio hash of its id: without the offset,
-/// every node in a symmetric network prefers the *same* dimension on the
-/// same cycle — a lockstep pattern, not the per-node fairness the fill
-/// order advertises.
-pub(crate) fn rotating_start(cycle: u64, node: usize, n_out: usize) -> usize {
-    if n_out == 0 {
-        return 0;
-    }
-    let salt = (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-    (cycle.wrapping_add(salt) % n_out as u64) as usize
 }
 
 /// The routing-table core shared by the sequential and lane engines:
@@ -2534,32 +2608,58 @@ pub(crate) fn draw(
 mod tests {
     use super::*;
 
-    #[test]
-    fn rotating_start_covers_every_position_at_each_node() {
-        // Over n_out consecutive cycles each node leads with each buffer
-        // exactly once (the rotation is a full cycle, just phase-shifted).
-        for node in [0usize, 1, 7, 1000] {
-            let mut seen = [false; 5];
-            for cycle in 100..105u64 {
-                seen[rotating_start(cycle, node, 5)] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "node {node} missed a position");
-        }
+    /// Every node's read mask recomputed from `inbuf`.
+    fn read_masks_from_inbufs<R: RoutingFunction, Rec: Recorder>(
+        sim: &Simulator<R, Rec>,
+    ) -> Vec<u64> {
+        (0..sim.layout.num_nodes)
+            .map(|v| {
+                sim.layout
+                    .node_in_bufs(v)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| sim.inbuf[b as usize] != NONE)
+                    .fold(0, |m, (slot, _)| m | 1u64 << slot)
+            })
+            .collect()
     }
 
     #[test]
-    fn rotating_start_is_not_lockstep_across_nodes() {
-        // On any single cycle, different nodes lead with different
-        // buffers; the pre-fix implementation had every node start at
-        // `cycle % n_out` simultaneously.
-        let starts: Vec<usize> = (0..16).map(|node| rotating_start(42, node, 4)).collect();
-        let distinct = starts
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len();
+    fn read_masks_survive_a_node_dying_with_full_input_buffers() {
+        // A saturated hypercube(4) with one-packet queues keeps packets
+        // waiting in input buffers; killing a node then empties its
+        // input buffers through `drop_inbufs`, which must clear their
+        // read-mask bits (a stale bit makes the read pass visit an
+        // empty slot).
+        let dead = 5usize;
+        let mut hits = 0;
+        for c in 4..40u64 {
+            let plan = FaultPlan::parse(&format!(
+                r#"{{"schema": "fadr-faults/1", "seed": 1, "retry_limit": 0, "events": [{{"cycle": {c}, "kind": "node_down", "node": {dead}}}]}}"#
+            ))
+            .expect("plan parses");
+            let cfg = SimConfig {
+                queue_capacity: 1,
+                ..SimConfig::default()
+            };
+            let mut sim =
+                Simulator::new(fadr_core::HypercubeFullyAdaptive::new(4), cfg).with_faults(plan);
+            let dest = |v: NodeId, rng: &mut StdRng| (v + 1 + rng.gen_range(0..15usize)) % 16;
+            let DynamicOutcome::Paused(_) = sim.run_dynamic_until(1.0, dest, 100, Some(c)) else {
+                panic!("run ended before cycle {c}");
+            };
+            assert_eq!(sim.in_mask, read_masks_from_inbufs(&sim), "cycle {c}");
+            if sim.in_mask[dead] == 0 {
+                continue;
+            }
+            hits += 1;
+            sim.apply_faults(&OwnedNodes::all(16));
+            assert_eq!(sim.in_mask[dead], 0, "cycle {c}");
+            assert_eq!(sim.in_mask, read_masks_from_inbufs(&sim), "cycle {c}");
+        }
         assert!(
-            distinct > 1,
-            "all 16 nodes rotated in lockstep: starts {starts:?}"
+            hits > 0,
+            "the dying node never held a packet in an input buffer"
         );
     }
 

@@ -34,12 +34,16 @@
 //! Lane `k` of a batched run is **bit-identical** to a standalone
 //! sequential [`Simulator`] run configured with seed
 //! [`lane_seed`]`(master, k)`: same delivered-packet journal, same
-//! histograms, same occupancy probe. The lane step core re-implements
-//! the engine's fill/link/read cycle with exactness-preserving
-//! optimizations — the precomputed transition table above, and bitmask
-//! iteration of fill candidates and occupied read slots, which visits
-//! exactly the positions the sequential scan would visit, in the same
-//! order, skipping only the no-op ones. The differential suite in
+//! histograms, same occupancy probe. The fill and read passes are not a
+//! second implementation: both engines call the same
+//! [`crate::kernel`] functions (the FIFO want-mask fill pass and the
+//! occupied-read-slot walk, or the position-major scan where the
+//! layout's `fast_fill`/`fast_read` predicates fail), and index the
+//! same [`Layout`] tables. What is lane-specific is where the inputs
+//! come from — want masks are precomputed per routing state in the
+//! table above and copied into the packet's hot row on each hop —
+//! plus the lane-major state. The kernel's own property tests check it
+//! against a position-major reference; the differential suite in
 //! `tests/lane_equivalence.rs` and the fuzzer's lane axis enforce the
 //! contract event-for-event.
 //!
@@ -52,7 +56,6 @@
 
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
@@ -62,12 +65,13 @@ use fadr_qdg::{BufferClass, RoutingFunction};
 use fadr_topology::NodeId;
 
 use crate::engine::{
-    draw, entry_class_of, node_rng, push_move_options, rotating_start, DynamicResult,
-    OccupancyProbe, StaticResult, StopReason,
+    draw, entry_class_of, node_rng, push_move_options, DynamicResult, OccupancyProbe, StaticResult,
+    StopReason,
 };
+use crate::kernel::{self, ReadSlots};
 use crate::layout::{Layout, NONE};
 use crate::store::{BitSet, MoveOpt};
-use crate::{FillOrder, SimConfig};
+use crate::SimConfig;
 
 /// Derive lane `k`'s RNG seed from a master seed.
 ///
@@ -173,7 +177,7 @@ fn intern_state<M: Clone + Eq + Hash>(
 }
 
 impl StateTable {
-    fn build<R: RoutingFunction>(rf: &R, layout: &Layout, buf_chan: &[u32]) -> Self {
+    fn build<R: RoutingFunction>(rf: &R, layout: &Layout) -> Self {
         let n = layout.num_nodes;
         let mut idx: FxHashMap<(u32, u8, R::Msg), u32> = FxHashMap::default();
         let mut keys: Vec<(u32, u8, R::Msg)> = Vec::new();
@@ -245,7 +249,7 @@ impl StateTable {
                     if pos < 64 {
                         wants |= 1u64 << pos;
                     }
-                    let to = layout.chan_to[buf_chan[opt.buf as usize] as usize];
+                    let to = layout.chan_to[layout.buf_chan[opt.buf as usize] as usize];
                     if rf.deliverable(to as usize, &opt.next) {
                         TERMINAL
                     } else {
@@ -406,12 +410,10 @@ struct LaneState {
     stutter_cnt: Vec<u32>,
     outbuf: Vec<u32>,
     inbuf: Vec<u32>,
-    in_occupied: Vec<u32>,
-    /// Per-node bitmask of occupied input-buffer slots (bit `i` ⇔
-    /// `inbuf[node_in_bufs[node][i]] != NONE`), maintained only when
-    /// every node has at most 63 input buffers; the read pass then
-    /// visits exactly the occupied slots in rotating order.
-    arr_mask: Vec<u64>,
+    /// Per node: its occupied input buffers, a slot mask under the
+    /// layout's `fast_read` predicate and a count otherwise, as in the
+    /// sequential engine (see [`Layout::occupy`]).
+    in_mask: Vec<u64>,
     chan_rr: Vec<u16>,
     chan_pending: Vec<u16>,
     inj_buf: Vec<u32>,
@@ -437,8 +439,7 @@ impl LaneState {
             stutter_cnt: vec![0; n],
             outbuf: vec![NONE; layout.num_buffers()],
             inbuf: vec![NONE; layout.num_buffers()],
-            in_occupied: vec![0; n],
-            arr_mask: vec![0; n],
+            in_mask: vec![0; n],
             chan_rr: vec![0; layout.num_channels()],
             chan_pending: vec![0; layout.num_channels()],
             inj_buf: vec![NONE; n],
@@ -466,8 +467,7 @@ impl LaneState {
             stutter_cnt: Vec::new(),
             outbuf: Vec::new(),
             inbuf: Vec::new(),
-            in_occupied: Vec::new(),
-            arr_mask: Vec::new(),
+            in_mask: Vec::new(),
             chan_rr: Vec::new(),
             chan_pending: Vec::new(),
             inj_buf: Vec::new(),
@@ -492,26 +492,8 @@ impl LaneState {
 pub struct LaneSim<R: RoutingFunction> {
     rf: R,
     cfg: SimConfig,
-    layout: Arc<Layout>,
+    layout: Layout,
     num_classes: usize,
-    /// Buffer id → channel id (as in the sequential engine).
-    buf_chan: Vec<u32>,
-    /// Buffer id → its slot index in the *target* node's input-buffer
-    /// list (feeds `arr_mask` maintenance in the link pass).
-    buf_in_slot: Vec<u32>,
-    /// Node → its first output buffer id (with `fast_fill`, fill
-    /// position `pos` maps to buffer `first_out[node] + pos`).
-    first_out: Vec<u32>,
-    /// `node_in_bufs` flattened (`in_flat[in_start[node]..in_start[node + 1]]`),
-    /// sparing the read pass a pointer chase per slot.
-    in_flat: Vec<u32>,
-    in_start: Vec<u32>,
-    /// Every node's output buffers form a contiguous ascending id range
-    /// of ≤ 64 buffers, so the fill pass can mask-iterate candidates.
-    fast_fill: bool,
-    /// Every node has ≤ 63 input buffers, so the read pass can
-    /// mask-iterate occupied slots (bit `n_in` is the injection buffer).
-    fast_read: bool,
     table: StateTable,
     seeds: Vec<u64>,
     lanes: Vec<LaneState>,
@@ -542,39 +524,14 @@ impl<R: RoutingFunction> LaneSim<R> {
     /// Panics if `seeds` is empty.
     pub fn with_lane_seeds(rf: R, cfg: SimConfig, seeds: Vec<u64>) -> Self {
         assert!(!seeds.is_empty(), "at least one lane");
-        let layout = Arc::new(Layout::new(&rf));
+        let layout = Layout::new(&rf);
         let num_classes = rf.num_classes();
-        let max_out = layout.node_out_bufs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut buf_chan = vec![0u32; layout.num_buffers()];
-        for chan in 0..layout.num_channels() {
-            let start = layout.chan_buf_start[chan] as usize;
-            let len = layout.chan_buf_len[chan] as usize;
-            buf_chan[start..start + len].fill(chan as u32);
-        }
-        let mut buf_in_slot = vec![0u32; layout.num_buffers()];
-        for bufs in &layout.node_in_bufs {
-            for (i, &b) in bufs.iter().enumerate() {
-                buf_in_slot[b as usize] = i as u32;
-            }
-        }
-        let fast_fill = layout
-            .node_out_bufs
-            .iter()
-            .all(|bufs| bufs.len() <= 64 && bufs.windows(2).all(|w| w[1] == w[0] + 1));
-        let fast_read = layout.node_in_bufs.iter().all(|bufs| bufs.len() < 64);
-        let first_out = layout
-            .node_out_bufs
-            .iter()
-            .map(|bufs| bufs.first().copied().unwrap_or(0))
-            .collect();
-        let mut in_flat = Vec::new();
-        let mut in_start = Vec::with_capacity(layout.num_nodes + 1);
-        for bufs in &layout.node_in_bufs {
-            in_start.push(in_flat.len() as u32);
-            in_flat.extend_from_slice(bufs);
-        }
-        in_start.push(in_flat.len() as u32);
-        let table = StateTable::build(&rf, &layout, &buf_chan);
+        let max_out = if layout.fast_fill {
+            0
+        } else {
+            layout.node_out_bufs.iter().map(Vec::len).max().unwrap_or(0)
+        };
+        let table = StateTable::build(&rf, &layout);
         let lanes = (0..seeds.len())
             .map(|_| LaneState::new(&layout, num_classes))
             .collect();
@@ -582,13 +539,6 @@ impl<R: RoutingFunction> LaneSim<R> {
             rf,
             cfg,
             num_classes,
-            buf_chan,
-            buf_in_slot,
-            first_out,
-            in_flat,
-            in_start,
-            fast_fill,
-            fast_read,
             table,
             seeds,
             lanes,
@@ -758,8 +708,7 @@ impl<R: RoutingFunction> LaneSim<R> {
         ls.stutter_cnt.fill(0);
         ls.outbuf.fill(NONE);
         ls.inbuf.fill(NONE);
-        ls.in_occupied.fill(0);
-        ls.arr_mask.fill(0);
+        ls.in_mask.fill(0);
         ls.chan_rr.fill(0);
         ls.chan_pending.fill(0);
         ls.inj_buf.fill(NONE);
@@ -923,85 +872,41 @@ impl<R: RoutingFunction> LaneSim<R> {
         ctl
     }
 
+    /// The sequential engine's fill pass (see `Simulator::fill_node`),
+    /// over the same [`kernel`] functions, reading want masks from the
+    /// packets' hot rows.
     fn fill_node<Rec: Recorder>(&mut self, ls: &mut LaneState, node: usize, rec: &mut Rec) {
         if ls.node_fifo[node].is_empty() {
             return;
         }
         let n_out = self.layout.node_out_bufs[node].len();
-        self.stutters.clear();
-        let mut staged_any = false;
-        let mut stutter_any = false;
-        if self.fast_fill {
-            stutter_any = ls.stutter_cnt[node] != 0;
-            let first_buf = self.first_out[node] as usize;
+        let order = self.cfg.fill_order;
+        let start = kernel::fill_start(order, ls.cycle, node, n_out);
+        let mut staging = std::mem::take(&mut self.staging);
+        staging.clear();
+        let fifo = &ls.node_fifo[node];
+        if self.layout.fast_fill {
+            let first = self.layout.first_out[node] as usize;
             let ones = if n_out == 64 { !0 } else { (1u64 << n_out) - 1 };
-            let mut avail = !ls.out_occ.extract(first_buf, n_out) & ones;
-            if avail != 0 {
-                // Single FIFO pass: each packet takes the fill-order-first
-                // available position it wants. This computes the same
-                // matching as the sequential per-position scan (each
-                // position in fill order taking its first FIFO wanter):
-                // both are the greedy matching under consistent priority
-                // orders — the first position with any wanter gets its
-                // first wanter in either procedure, and induction on the
-                // residual does the rest. The want sets are static during
-                // the pass (stutters run after), so once every position is
-                // taken the scan can stop.
-                let start = match self.cfg.fill_order {
-                    FillOrder::LowToHigh | FillOrder::HighToLow => 0,
-                    FillOrder::Rotating => rotating_start(ls.cycle, node, n_out),
-                };
-                // Scan first, mutate after: the decisions depend only on
-                // the (per-pass-constant) want masks and the shrinking
-                // `avail`, so splitting lets the scan run over plain
-                // slices and batches the staging writes.
-                self.staging.clear();
-                for (&p, h) in ls.node_fifo[node]
-                    .iter()
-                    .map(|p| (p, &ls.store.hot[*p as usize]))
-                {
-                    let m = h.wants & avail;
-                    if m == 0 {
-                        continue;
-                    }
-                    let pos = match self.cfg.fill_order {
-                        FillOrder::LowToHigh => m.trailing_zeros() as usize,
-                        FillOrder::HighToLow => 63 - m.leading_zeros() as usize,
-                        FillOrder::Rotating => {
-                            let hi = m >> start;
-                            if hi != 0 {
-                                start + hi.trailing_zeros() as usize
-                            } else {
-                                m.trailing_zeros() as usize
-                            }
-                        }
-                    };
-                    self.staging.push((p, pos as u32));
-                    avail &= !(1u64 << pos);
-                    if avail == 0 {
-                        break;
-                    }
-                }
-                let mut staging = std::mem::take(&mut self.staging);
-                for &(p, pos) in &staging {
-                    self.stage_packet(ls, node, p, pos as usize, first_buf + pos as usize);
-                }
-                staged_any = !staging.is_empty();
-                staging.clear();
+            let avail = !ls.out_occ.extract(first, n_out) & ones;
+            if avail == 0 && ls.stutter_cnt[node] == 0 {
                 self.staging = staging;
-            } else if !stutter_any {
                 return;
             }
+            let hot = &ls.store.hot;
+            kernel::fill_pass(
+                fifo.iter().map(|&p| (p, hot[p as usize].wants)),
+                avail,
+                order,
+                start,
+                &mut staging,
+            );
         } else {
-            // Slow path (> 64 output buffers or a non-contiguous id
-            // range): the sequential engine's wanting-list scan,
-            // verbatim, against the shared option table.
             for w in self.wanting.iter_mut().take(n_out) {
                 w.clear();
             }
-            for &p in &ls.node_fifo[node] {
+            for &p in fifo {
                 let h = &ls.store.hot[p as usize];
-                stutter_any |= h.stutters != 0;
                 let s = h.opt_start as usize;
                 for o in &self.table.opts[s..s + h.opt_len as usize] {
                     if o.buf != NONE {
@@ -1010,41 +915,31 @@ impl<R: RoutingFunction> LaneSim<R> {
                     }
                 }
             }
-            let start = match self.cfg.fill_order {
-                FillOrder::LowToHigh | FillOrder::HighToLow => 0,
-                FillOrder::Rotating => rotating_start(ls.cycle, node, n_out),
-            };
-            for i in 0..n_out {
-                let pos = match self.cfg.fill_order {
-                    FillOrder::LowToHigh => i,
-                    FillOrder::HighToLow => n_out - 1 - i,
-                    FillOrder::Rotating => (start + i) % n_out,
-                };
-                let buf = self.layout.node_out_bufs[node][pos] as usize;
-                if ls.outbuf[buf] != NONE {
-                    continue;
-                }
-                let Some(&p) = self.wanting[pos]
-                    .iter()
-                    .find(|&&p| ls.store.hot[p as usize].moved_at != ls.cycle)
-                else {
-                    continue;
-                };
-                self.stage_packet(ls, node, p, pos, buf);
-                staged_any = true;
-            }
+            let out_bufs = &self.layout.node_out_bufs[node];
+            let outbuf = &ls.outbuf;
+            kernel::fill_scan(
+                &self.wanting,
+                n_out,
+                order,
+                start,
+                |pos| outbuf[out_bufs[pos] as usize] == NONE,
+                &mut staging,
+            );
         }
-        if staged_any {
+        for &(p, pos) in &staging {
+            self.stage_packet(ls, node, p, pos as usize);
+        }
+        if !staging.is_empty() {
             self.drain_staged(ls, node, rec);
         }
-        if stutter_any {
-            // Stutter candidates in the sequential scan's order: FIFO,
-            // with one entry per internal option. Collected after
-            // staging — a staged packet's option fields still describe
-            // its pre-stage residence, and its extra entries would be
-            // skipped by the once-per-cycle rule anyway.
+        self.staging = staging;
+        if ls.stutter_cnt[node] != 0 {
+            // Stutter candidates as in the sequential engine: FIFO
+            // order, one entry per packet with an internal option,
+            // collected after staging.
+            self.stutters.clear();
             for &p in &ls.node_fifo[node] {
-                for _ in 0..ls.store.hot[p as usize].stutters {
+                if ls.store.hot[p as usize].stutters != 0 {
                     self.stutters.push(p);
                 }
             }
@@ -1052,12 +947,14 @@ impl<R: RoutingFunction> LaneSim<R> {
         }
     }
 
-    /// Move packet `p` onto output buffer `buf` (at `node`): rewrite
+    /// Move packet `p` onto the output buffer at fill position `pos` of
+    /// `node`: rewrite
     /// its hot row to the chosen option's successor state — inlined in
     /// the option record, so the later arrival enqueue is table-free —
     /// and mark the channel live. Only `class` keeps describing the old
     /// residence, for the drain pass's queue accounting.
-    fn stage_packet(&self, ls: &mut LaneState, node: usize, p: u32, pos: usize, buf: usize) {
+    fn stage_packet(&self, ls: &mut LaneState, node: usize, p: u32, pos: usize) {
+        let buf = self.layout.out_buf(node, pos);
         let pi = p as usize;
         let h = &ls.store.hot[pi];
         let s = h.opt_start as usize;
@@ -1088,7 +985,7 @@ impl<R: RoutingFunction> LaneSim<R> {
         h.staged = true;
         ls.outbuf[buf] = p;
         ls.out_occ.set(buf);
-        let chan = self.buf_chan[buf] as usize;
+        let chan = self.layout.buf_chan[buf] as usize;
         ls.chan_pending[chan] += 1;
         ls.chan_live.set(chan);
     }
@@ -1262,62 +1159,32 @@ impl<R: RoutingFunction> LaneSim<R> {
         ls.inbuf[b] = p;
         ls.in_occ.set(b);
         let to = self.layout.chan_to[chan] as usize;
-        ls.in_occupied[to] += 1;
-        if self.fast_read {
-            ls.arr_mask[to] |= 1u64 << self.buf_in_slot[b];
-        }
+        self.layout.occupy(&mut ls.in_mask[to], b);
     }
 
-    /// Read pass for one node of one lane. With `fast_read`, the
-    /// occupied-slot bitmask is walked in the same rotating order the
-    /// sequential slot scan uses — empty slots it skips are no-ops
-    /// there.
+    /// Read pass for one node of one lane (see `Simulator::read_node`).
     fn read_node<Rec: Recorder>(&mut self, ls: &mut LaneState, node: usize, rec: &mut Rec) {
-        let n_in = (self.in_start[node + 1] - self.in_start[node]) as usize;
-        if self.fast_read {
-            let mut m = ls.arr_mask[node];
-            if ls.inj_buf[node] != NONE {
-                m |= 1u64 << n_in;
-            }
-            if m == 0 {
-                return;
-            }
-            let slots = n_in + 1;
-            let start = (ls.cycle as usize) % slots;
-            let mut hi = m >> start;
-            while hi != 0 {
-                let slot = start + hi.trailing_zeros() as usize;
-                hi &= hi - 1;
-                self.read_slot(ls, node, slot, n_in, rec);
-            }
-            let mut lo = m & ((1u64 << start) - 1);
-            while lo != 0 {
-                let slot = lo.trailing_zeros() as usize;
-                lo &= lo - 1;
+        let inputs = ls.in_mask[node];
+        let inj = ls.inj_buf[node] != NONE;
+        if inputs == 0 && !inj {
+            return;
+        }
+        let n_in = self.layout.node_in_bufs(node).len();
+        let slots = n_in + 1;
+        let start = (ls.cycle as usize) % slots;
+        if self.layout.fast_read {
+            for slot in ReadSlots::new(inputs, n_in, inj, start) {
                 self.read_slot(ls, node, slot, n_in, rec);
             }
         } else {
-            if ls.in_occupied[node] == 0 && ls.inj_buf[node] == NONE {
-                return;
-            }
-            let slots = n_in + 1;
-            let start = (ls.cycle as usize) % slots;
             for i in 0..slots {
-                let slot = (start + i) % slots;
-                if slot < n_in {
-                    if ls.inbuf[self.layout.node_in_bufs[node][slot] as usize] == NONE {
-                        continue;
-                    }
-                    self.read_slot(ls, node, slot, n_in, rec);
-                } else if ls.inj_buf[node] != NONE {
-                    self.read_slot(ls, node, slot, n_in, rec);
-                }
+                self.read_slot(ls, node, (start + i) % slots, n_in, rec);
             }
         }
     }
 
-    /// Process one occupied read slot: an input buffer below `n_in`, the
-    /// injection buffer at `n_in`.
+    /// Read slot `slot` of `node` (a no-op when it is empty): input
+    /// buffer `slot` below `n_in`, the injection buffer at `n_in`.
     fn read_slot<Rec: Recorder>(
         &mut self,
         ls: &mut LaneState,
@@ -1327,20 +1194,20 @@ impl<R: RoutingFunction> LaneSim<R> {
         rec: &mut Rec,
     ) {
         if slot < n_in {
-            let b = self.in_flat[self.in_start[node] as usize + slot] as usize;
+            let b = self.layout.in_bufs[self.layout.in_start[node] as usize + slot] as usize;
             let p = ls.inbuf[b];
-            debug_assert_ne!(p, NONE, "read slot marked occupied but empty");
-            if self.accept_arrival(ls, node, p, rec) {
+            debug_assert!(
+                !self.layout.fast_read || p != NONE,
+                "read mask names an empty slot"
+            );
+            if p != NONE && self.accept_arrival(ls, node, p, rec) {
                 ls.inbuf[b] = NONE;
                 ls.in_occ.clear(b);
-                ls.in_occupied[node] -= 1;
-                if self.fast_read {
-                    ls.arr_mask[node] &= !(1u64 << slot);
-                }
+                self.layout.vacate(&mut ls.in_mask[node], b);
             }
         } else {
             let p = ls.inj_buf[node];
-            if self.accept_injection(ls, node, p, rec) {
+            if p != NONE && self.accept_injection(ls, node, p, rec) {
                 ls.inj_buf[node] = NONE;
             }
         }
@@ -1479,7 +1346,7 @@ impl<R: RoutingFunction> LaneSim<R> {
                     if o.buf == NONE {
                         continue;
                     }
-                    let chan = self.buf_chan[o.buf as usize] as usize;
+                    let chan = self.layout.buf_chan[o.buf as usize] as usize;
                     let w = self.layout.chan_to[chan];
                     let c2 = o.to_class;
                     if ls.queue_len[w as usize * self.num_classes + usize::from(c2)] as usize >= cap

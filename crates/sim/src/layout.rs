@@ -1,5 +1,8 @@
 //! Flat channel/buffer layout derived from a routing function's topology
-//! and per-channel buffer-class declarations (§ 6).
+//! and per-channel buffer-class declarations (§ 6), plus the derived
+//! tables both engines' fill and read kernels index (see
+//! [`crate::kernel`]). Everything here is immutable after construction
+//! and shared by `Arc` across shards and lanes.
 
 use fadr_qdg::{BufferClass, RoutingFunction};
 
@@ -35,10 +38,34 @@ pub struct Layout {
     /// Per node: its output-buffer ids in fill order
     /// (port ascending, classes in declared order).
     pub node_out_bufs: Vec<Vec<u32>>,
-    /// Per node: incoming buffer ids (input buffers located at this node).
-    pub node_in_bufs: Vec<Vec<u32>>,
+    /// Input-buffer ids of every node, flattened: node `v`'s are
+    /// `in_bufs[in_start[v]..in_start[v + 1]]` (see
+    /// [`Layout::node_in_bufs`]). The index within that slice is the
+    /// buffer's read *slot*.
+    pub(crate) in_bufs: Vec<u32>,
+    /// Node → start of its input buffers in `in_bufs` (`num_nodes + 1`
+    /// entries).
+    pub(crate) in_start: Vec<u32>,
     /// Buffer id → position within its source node's `node_out_bufs`.
     pub buf_out_pos: Vec<u32>,
+    /// Buffer id → channel id.
+    pub(crate) buf_chan: Vec<u32>,
+    /// Node → its first output-buffer id. Under `fast_fill`, fill
+    /// position `pos` of node `v` is buffer `first_out[v] + pos`.
+    pub(crate) first_out: Vec<u32>,
+    /// Buffer id → its read slot at the channel's target node. Filled
+    /// only under `fast_read`, where a slot is below 64 and fits a `u8`;
+    /// empty otherwise.
+    pub(crate) buf_in_slot: Vec<u8>,
+    /// Every node's output buffers form one ascending run of at most 64
+    /// ids, so a packet's wanted fill positions fit one `u64` mask and
+    /// the fill pass runs [`crate::kernel::fill_pass`]. Otherwise the
+    /// engines fall back to the per-position wanting-list scan.
+    pub(crate) fast_fill: bool,
+    /// Every node has at most 64 input buffers, so its occupied ones fit
+    /// one `u64` mask and the read pass visits only occupied slots
+    /// ([`crate::kernel::ReadSlots`]). Otherwise it scans every slot.
+    pub(crate) fast_read: bool,
 }
 
 impl Layout {
@@ -57,8 +84,14 @@ impl Layout {
             chan_buf_len: Vec::new(),
             buf_class: Vec::new(),
             node_out_bufs: vec![Vec::new(); n],
-            node_in_bufs: vec![Vec::new(); n],
+            in_bufs: Vec::new(),
+            in_start: Vec::new(),
             buf_out_pos: Vec::new(),
+            buf_chan: Vec::new(),
+            first_out: Vec::with_capacity(n),
+            buf_in_slot: Vec::new(),
+            fast_fill: false,
+            fast_read: false,
         };
         for node in 0..n {
             for port in 0..mp {
@@ -84,11 +117,88 @@ impl Layout {
                         .buf_out_pos
                         .push(layout.node_out_bufs[node].len() as u32);
                     layout.node_out_bufs[node].push(buf);
-                    layout.node_in_bufs[to].push(buf);
+                    layout.buf_chan.push(chan);
                 }
             }
         }
+        // Input lists by counting sort over channels in id order, which
+        // keeps each node's buffers in ascending id order.
+        let nb = layout.num_buffers();
+        layout.in_start = vec![0; n + 1];
+        for (chan, &to) in layout.chan_to.iter().enumerate() {
+            layout.in_start[to as usize + 1] += u32::from(layout.chan_buf_len[chan]);
+        }
+        for v in 0..n {
+            layout.in_start[v + 1] += layout.in_start[v];
+        }
+        layout.fast_read = (0..n).all(|v| layout.in_start[v + 1] - layout.in_start[v] <= 64);
+        let mut cursor = layout.in_start[..n].to_vec();
+        layout.in_bufs = vec![0; nb];
+        if layout.fast_read {
+            layout.buf_in_slot = vec![0; nb];
+        }
+        for (chan, &to) in layout.chan_to.iter().enumerate() {
+            let to = to as usize;
+            let start = layout.chan_buf_start[chan];
+            for b in start..start + u32::from(layout.chan_buf_len[chan]) {
+                let at = cursor[to] as usize;
+                layout.in_bufs[at] = b;
+                if layout.fast_read {
+                    layout.buf_in_slot[b as usize] = (cursor[to] - layout.in_start[to]) as u8;
+                }
+                cursor[to] += 1;
+            }
+        }
+        layout.first_out = layout
+            .node_out_bufs
+            .iter()
+            .map(|bufs| bufs.first().copied().unwrap_or(0))
+            .collect();
+        layout.fast_fill = layout
+            .node_out_bufs
+            .iter()
+            .all(|bufs| bufs.len() <= 64 && bufs.windows(2).all(|w| w[1] == w[0] + 1));
         layout
+    }
+
+    /// Output buffer at fill position `pos` of `node`.
+    #[inline]
+    pub(crate) fn out_buf(&self, node: usize, pos: usize) -> usize {
+        if self.fast_fill {
+            self.first_out[node] as usize + pos
+        } else {
+            self.node_out_bufs[node][pos] as usize
+        }
+    }
+
+    /// Record input buffer `b` as occupied in its target node's read
+    /// word: the buffer's slot bit under `fast_read`, otherwise a count
+    /// of occupied input buffers (which still lets an idle node skip its
+    /// read pass).
+    #[inline]
+    pub(crate) fn occupy(&self, word: &mut u64, b: usize) {
+        if self.fast_read {
+            *word |= 1u64 << self.buf_in_slot[b];
+        } else {
+            *word += 1;
+        }
+    }
+
+    /// Undo [`Layout::occupy`] for input buffer `b`.
+    #[inline]
+    pub(crate) fn vacate(&self, word: &mut u64, b: usize) {
+        if self.fast_read {
+            *word &= !(1u64 << self.buf_in_slot[b]);
+        } else {
+            *word -= 1;
+        }
+    }
+
+    /// Input-buffer ids of `node` (the buffers its read pass empties),
+    /// indexed by read slot.
+    #[inline]
+    pub fn node_in_bufs(&self, node: usize) -> &[u32] {
+        &self.in_bufs[self.in_start[node] as usize..self.in_start[node + 1] as usize]
     }
 
     /// Total buffer count.
@@ -145,7 +255,7 @@ mod tests {
         // Each node: 3 out-channels x 2 classes, and same incoming.
         for v in 0..8 {
             assert_eq!(l.node_out_bufs[v].len(), 6);
-            assert_eq!(l.node_in_bufs[v].len(), 6);
+            assert_eq!(l.node_in_bufs(v).len(), 6);
         }
     }
 
@@ -230,6 +340,31 @@ mod tests {
         assert_eq!(l.num_buffers(), 2 * 257);
         assert_eq!(l.buffer(0, 0, BufferClass::Static(255)), 255);
         assert_eq!(l.buffer(0, 0, BufferClass::Dynamic), 256);
+        // 514 output buffers per node fail both fast-path predicates.
+        assert!(!l.fast_fill && !l.fast_read);
+        assert!(l.buf_in_slot.is_empty());
+    }
+
+    #[test]
+    fn derived_tables_match_the_channel_lists() {
+        let rf = HypercubeFullyAdaptive::new(4);
+        let l = Layout::new(&rf);
+        assert!(l.fast_fill && l.fast_read);
+        for chan in 0..l.num_channels() {
+            let start = l.chan_buf_start[chan] as usize;
+            for b in start..start + usize::from(l.chan_buf_len[chan]) {
+                assert_eq!(l.buf_chan[b] as usize, chan);
+            }
+        }
+        for v in 0..l.num_nodes {
+            for (pos, &b) in l.node_out_bufs[v].iter().enumerate() {
+                assert_eq!(b as usize, l.first_out[v] as usize + pos);
+            }
+            for (slot, &b) in l.node_in_bufs(v).iter().enumerate() {
+                assert_eq!(usize::from(l.buf_in_slot[b as usize]), slot);
+                assert_eq!(l.chan_to[l.buf_chan[b as usize] as usize] as usize, v);
+            }
+        }
     }
 
     #[test]

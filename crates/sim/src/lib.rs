@@ -26,6 +26,14 @@
 //!    room, with rotating (fair) priority; packets whose routing state
 //!    says "deliver" go straight to the delivery queue.
 //!
+//! Steps 1 and 3 run the same kernel in every engine (module `kernel`):
+//! a FIFO pass over per-packet want masks for the fill, and a walk over
+//! a per-node mask of occupied read slots for the read. The masks need
+//! a layout where each node has at most 64 output buffers in one
+//! contiguous id run and at most 64 input buffers (the [`Layout`]'s
+//! `fast_fill` and `fast_read` predicates); any other layout falls back
+//! to a per-position scan that applies the rule literally.
+//!
 //! It therefore takes a message two routing steps to traverse a node
 //! (input buffer → queue, then queue → output buffer), and the paper
 //! counts node activities as two time cycles: reported latency is
@@ -52,6 +60,7 @@
 
 mod engine;
 pub mod fault;
+mod kernel;
 mod lanes;
 mod layout;
 pub mod node_design;

@@ -1537,20 +1537,6 @@ where
         self.plan.node_shard[self.layout.chan_from[c] as usize] as usize
     }
 
-    /// Buffer id → channel id, derived from the shared layout.
-    fn buf_chan_map(&self) -> Vec<u32> {
-        let mut buf_chan = vec![0u32; self.layout.num_buffers()];
-        for c in 0..self.layout.num_channels() {
-            let start = self.layout.chan_buf_start[c] as usize;
-            let len = usize::from(self.layout.chan_buf_len[c]);
-            // Cast audit: unreachable in practice — `NetLayout` already
-            // stores `chan_from`/`chan_to` as `u32`, so a layout with
-            // more than `u32::MAX` channels cannot be built.
-            buf_chan[start..start + len].fill(u32::try_from(c).expect("channel id fits u32"));
-        }
-        buf_chan
-    }
-
     /// Sharded equivalent of [`Simulator::checkpoint`]: serialize the
     /// merged engine state as a `fadr-snapshot/1` document, byte-for-byte
     /// equal to what a sequential engine paused at the same cycle writes.
@@ -1559,7 +1545,7 @@ where
         let n = self.num_nodes();
         let nb = self.layout.num_buffers();
         let nch = self.layout.num_channels();
-        let buf_chan = self.buf_chan_map();
+        let buf_chan = &self.layout.buf_chan;
         let mut lines = String::new();
         let mut count = 0usize;
         for v in 0..n {
@@ -1618,7 +1604,7 @@ where
     /// resumed workers' replicated counters reassemble the totals.
     pub fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
         let snap: ParsedSnapshot<R::Msg> = snapshot::parse(text)?;
-        let buf_chan = self.buf_chan_map();
+        let buf_chan = &self.layout.buf_chan;
         let nb = self.layout.num_buffers();
         for sid in 0..self.shards.len() {
             let packets: Vec<_> = snap

@@ -50,9 +50,6 @@ pub(crate) struct PacketStore<M> {
     pub(crate) class: Vec<u8>,
     /// Central-queue class on arrival (valid while staged).
     pub(crate) next_class: Vec<u8>,
-    /// Set while the packet sits in an output/input buffer, pending
-    /// removal from its queue after the fill pass.
-    pub(crate) staged: Vec<bool>,
     /// The packet's current hop is a degraded-mode escape move (see
     /// [`crate::fault`]).
     pub(crate) escape: Vec<bool>,
@@ -62,6 +59,13 @@ pub(crate) struct PacketStore<M> {
     pub(crate) opt_start: Vec<u32>,
     /// Length of the packet's option segment (0 = none cached).
     pub(crate) opt_len: Vec<u32>,
+    /// Fill positions the packet's link options target at its node
+    /// (bit `pos` ⇔ an option stages onto the node's `pos`-th output
+    /// buffer; positions ≥ 64 are left out, as only layouts passing
+    /// `fast_fill` read the mask). Derived from the option segment.
+    pub(crate) wants: Vec<u64>,
+    /// Number of internal (stutter) options in the segment.
+    pub(crate) stutters: Vec<u8>,
     /// Recycled slot ids.
     pub(crate) free: Vec<u32>,
 }
@@ -78,7 +82,6 @@ pub(crate) struct PacketInit<M> {
     pub(crate) moved_at: u64,
     pub(crate) class: u8,
     pub(crate) next_class: u8,
-    pub(crate) staged: bool,
     pub(crate) escape: bool,
     pub(crate) msg: M,
 }
@@ -95,11 +98,12 @@ impl<M> PacketStore<M> {
             moved_at: Vec::new(),
             class: Vec::new(),
             next_class: Vec::new(),
-            staged: Vec::new(),
             escape: Vec::new(),
             msg: Vec::new(),
             opt_start: Vec::new(),
             opt_len: Vec::new(),
+            wants: Vec::new(),
+            stutters: Vec::new(),
             free: Vec::new(),
         }
     }
@@ -122,7 +126,6 @@ impl<M> PacketStore<M> {
             self.moved_at[p] = init.moved_at;
             self.class[p] = init.class;
             self.next_class[p] = init.next_class;
-            self.staged[p] = init.staged;
             self.escape[p] = init.escape;
             self.msg[p] = init.msg;
             debug_assert_eq!(self.opt_len[p], 0, "freed slot kept an option segment");
@@ -137,11 +140,12 @@ impl<M> PacketStore<M> {
             self.moved_at.push(init.moved_at);
             self.class.push(init.class);
             self.next_class.push(init.next_class);
-            self.staged.push(init.staged);
             self.escape.push(init.escape);
             self.msg.push(init.msg);
             self.opt_start.push(0);
             self.opt_len.push(0);
+            self.wants.push(0);
+            self.stutters.push(0);
             (self.src.len() - 1) as u32
         }
     }
@@ -155,14 +159,33 @@ impl<M> PacketStore<M> {
         self.free.push(p);
     }
 
-    /// Replace slot `p`'s cached option segment, recycling the old one.
+    /// Replace slot `p`'s cached option segment, recycling the old one,
+    /// and derive its fill summary (`wants`, `stutters`) from the new
+    /// options; `buf_out_pos` is the layout's buffer → fill position
+    /// map. This is the only writer of the segment, so the summary can
+    /// never go stale.
     pub(crate) fn set_options(
         &mut self,
         p: u32,
         arena: &mut OptionArena<M>,
         opts: &mut Vec<MoveOpt<M>>,
+        buf_out_pos: &[u32],
     ) {
         let pi = p as usize;
+        let mut wants = 0u64;
+        let mut stutters = 0u8;
+        for o in opts.iter() {
+            if o.buf == crate::layout::NONE {
+                stutters = stutters.saturating_add(1);
+            } else {
+                let pos = buf_out_pos[o.buf as usize];
+                if pos < 64 {
+                    wants |= 1u64 << pos;
+                }
+            }
+        }
+        self.wants[pi] = wants;
+        self.stutters[pi] = stutters;
         arena.release(self.opt_start[pi], self.opt_len[pi]);
         let (start, len) = arena.store(opts);
         self.opt_start[pi] = start;
@@ -187,11 +210,12 @@ impl<M> PacketStore<M> {
         self.moved_at.clear();
         self.class.clear();
         self.next_class.clear();
-        self.staged.clear();
         self.escape.clear();
         self.msg.clear();
         self.opt_start.clear();
         self.opt_len.clear();
+        self.wants.clear();
+        self.stutters.clear();
         self.free.clear();
     }
 }
@@ -440,7 +464,6 @@ mod tests {
             moved_at: u64::MAX,
             class: 0,
             next_class: 0,
-            staged: false,
             escape: false,
             msg: 0u8,
         };
@@ -453,8 +476,9 @@ mod tests {
             next: 0u8,
             escape: false,
         }];
-        s.set_options(p0, &mut a, &mut opts);
+        s.set_options(p0, &mut a, &mut opts, &[0, 0, 0, 5]);
         assert_eq!(s.opt_range(p0), 0..1);
+        assert_eq!((s.wants[0], s.stutters[0]), (1 << 5, 0));
         s.release(p0, &mut a);
         // The freed slot (and its arena segment) are recycled.
         let p2 = s.insert(init(2));

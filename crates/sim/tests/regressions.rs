@@ -7,7 +7,7 @@
 //! 2. `StaticResult`/`DynamicResult` could not distinguish a watchdog
 //!    abort from running into the `max_cycles` horizon;
 //! 3. `FillOrder::Rotating` rotated all nodes in lockstep (covered by
-//!    unit tests on `rotating_start` in the engine; the end-to-end
+//!    unit tests on `rotating_start` in the fill kernel; the end-to-end
 //!    symmetric-workload check lives here);
 //! 4. a regression corpus of abort verdicts: the capacity-0 wedge and a
 //!    fault-induced partition as fixed-seed runs whose
