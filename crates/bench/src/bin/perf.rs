@@ -67,12 +67,24 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use fadr_bench::exec;
 use fadr_bench::obs::{self, MetricsRow, ObsArgs};
 use fadr_bench::perf::{compare, compare_line, report_line, time, time_cold, to_json, Measurement};
-use fadr_bench::runner::{run_row, run_rows_recorded, run_table_jobs, spec, RunOptions};
+use fadr_bench::runner::{dims_for, run_row, run_rows_recorded, run_table_dims, spec, RunOptions};
 use fadr_core::{HypercubeFullyAdaptive, MeshFullyAdaptive};
 use fadr_metrics::Verdict;
 use fadr_qdg::RoutingFunction;
 use fadr_sim::{lane_seeds, LaneSim, PartitionStrategy, ShardedSimulator, SimConfig, Simulator};
 use fadr_workloads::Pattern;
+
+/// [`time`] for a harness run, which fails only on a checkpoint/resume
+/// snapshot it cannot read, restore or write: the error ends the run.
+fn time_ok<T>(
+    name: &str,
+    samples: usize,
+    mut f: impl FnMut() -> Result<T, String>,
+) -> Result<Measurement, String> {
+    let mut failed = None;
+    let m = time(name, samples, || f().map_err(|e| failed = Some(e)));
+    failed.map_or(Ok(m), Err)
+}
 
 /// `--compare self`: run the identical workload on both sides of the
 /// interleaved harness. The only honest verdict is within-noise;
@@ -399,37 +411,37 @@ fn run(cli: Cli) -> Result<ExitCode, String> {
         // n packets) — the light and heavy ends of the static workloads.
         for &table in &[1usize, 6] {
             for &n in dims {
-                let m = time(&format!("table{table}_n{n}"), samples, || {
+                let m = time_ok(&format!("table{table}_n{n}"), samples, || {
                     run_row(spec(table), n, opts)
-                });
+                })?;
                 println!("{}", report_line(&m));
                 measurements.push(m);
             }
         }
         // One dynamic row (Table 9: random, λ = 1).
-        let m = time("table9_n10_dynamic", samples, || run_row(spec(9), 10, opts));
+        let m = time_ok("table9_n10_dynamic", samples, || run_row(spec(9), 10, opts))?;
         println!("{}", report_line(&m));
         measurements.push(m);
         // The full Table-6 row fan-out, sequential vs parallel, for the
         // harness speedup trend (one row when `--jobs 1`: names are keys).
-        let m = time("table6_rows_jobs1", samples, || {
-            run_table_jobs(6, false, opts, 1)
-        });
+        let m = time_ok("table6_rows_jobs1", samples, || {
+            run_table_dims(6, &dims_for(spec(6), false), opts, 1)
+        })?;
         println!("{}", report_line(&m));
         measurements.push(m);
         if jobs != 1 {
-            let m = time(&format!("table6_rows_jobs{jobs}"), samples, || {
-                run_table_jobs(6, false, opts, jobs)
-            });
+            let m = time_ok(&format!("table6_rows_jobs{jobs}"), samples, || {
+                run_table_dims(6, &dims_for(spec(6), false), opts, jobs)
+            })?;
             println!("{}", report_line(&m));
             measurements.push(m);
         }
         // One sharded-engine point for the intra-run speedup trend.
         if shards > 1 {
             let shard_opts = RunOptions { shards, ..opts };
-            let m = time(&format!("table9_n10_shards{shards}"), samples, || {
+            let m = time_ok(&format!("table9_n10_shards{shards}"), samples, || {
                 run_row(spec(9), 10, shard_opts)
-            });
+            })?;
             println!("{}", report_line(&m));
             measurements.push(m);
         }
@@ -445,7 +457,7 @@ fn run(cli: Cli) -> Result<ExitCode, String> {
         let rc = obs_args.record_config();
         let mut metrics = Vec::new();
         for &table in &[6usize, 9] {
-            let recorded = run_rows_recorded(spec(table), &[10], opts, 1, rc);
+            let recorded = run_rows_recorded(spec(table), &[10], opts, 1, rc)?;
             metrics.extend(recorded.iter().map(|r| MetricsRow::from_recorded(table, r)));
         }
         println!("# metrics summary (instrumented re-runs, untimed)");

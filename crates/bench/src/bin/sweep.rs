@@ -49,224 +49,157 @@ use std::process::ExitCode;
 use fadr_bench::exec;
 use fadr_bench::obs::{self, MetricsRow, ObsArgs, RecordConfig};
 use fadr_bench::runner::{
-    dynamic_random_lanes, dynamic_random_recorded, run_rows_recorded, spec, Algo, RunOptions,
-    SnapshotPolicy,
+    dynamic_random_recorded, lane_sweep, run_rows_recorded, spec, Algo, RunOptions,
 };
-use fadr_core::{EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang};
+use fadr_core::HypercubeFullyAdaptive;
 use fadr_qdg::RoutingFunction;
-use fadr_sim::{FaultPlan, LaneSim, PartitionStrategy, SimConfig};
+use fadr_sim::{PartitionStrategy, SimConfig, SinkSet};
 use fadr_topology::Hypercube;
 
 /// The offered loads of both λ sweeps, in output order.
 const LAMBDAS: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
-const ALGOS: [(&str, Algo); 3] = [
-    ("fully-adaptive", Algo::FullyAdaptive),
-    ("static-hang", Algo::StaticHang),
-    ("ecube-sbp", Algo::EcubeSbp),
-];
-
-/// Print the shard-partition cut measurement as a `#` comment line (all
-/// three algorithms run on the same n-cube, so the partition — a pure
-/// function of topology, shard count, and strategy — is shared).
-fn print_partition_stats(n: usize, shards: usize, partition: PartitionStrategy) {
-    if shards <= 1 {
-        return;
-    }
-    let rf = HypercubeFullyAdaptive::new(n);
-    let layout = fadr_sim::Layout::new(&rf);
-    let shards = shards.clamp(1, layout.num_nodes.max(1));
-    if let Ok(part) = fadr_sim::Partition::new(partition, rf.topology(), &layout, shards) {
-        println!("# partition: {}", part.stats);
-    }
+/// The command line's run controls, shared by every point of a
+/// recorded sweep.
+struct Sweep {
+    n: usize,
+    jobs: usize,
+    rc: RecordConfig,
+    /// Shards, partition, faults and snapshot policy of every point.
+    opts: RunOptions,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn lambda_sweep(
-    n: usize,
-    cycles: u64,
-    jobs: usize,
-    shards: usize,
-    partition: PartitionStrategy,
-    rc: RecordConfig,
-    faults: Option<&'static FaultPlan>,
-    snap: Option<SnapshotPolicy>,
-) -> Vec<MetricsRow> {
-    let size = 1usize << n;
-    print_partition_stats(n, shards, partition);
-    let points = exec::run_indexed(LAMBDAS.len() * ALGOS.len(), jobs, |i| {
-        let lambda = LAMBDAS[i / ALGOS.len()];
-        let (name, algo) = ALGOS[i % ALGOS.len()];
-        let cfg = SimConfig::default();
-        // File-safe label keying this point's snapshot inside
-        // `--checkpoint-dir` (the display label below has spaces).
-        let snap_label = format!("lambda{lambda}_{name}");
-        let (res, sinks) = match algo {
-            Algo::FullyAdaptive => dynamic_random_recorded(
-                HypercubeFullyAdaptive::new(n),
-                algo,
-                cfg,
-                lambda,
-                cycles,
-                rc,
-                shards,
-                partition,
-                faults,
-                snap,
-                &snap_label,
-            ),
-            Algo::StaticHang => dynamic_random_recorded(
-                HypercubeStaticHang::new(n),
-                algo,
-                cfg,
-                lambda,
-                cycles,
-                rc,
-                shards,
-                partition,
-                faults,
-                snap,
-                &snap_label,
-            ),
-            Algo::EcubeSbp => dynamic_random_recorded(
-                EcubeSbp::new(n),
-                algo,
-                cfg,
-                lambda,
-                cycles,
-                rc,
-                shards,
-                partition,
-                faults,
-                snap,
-                &snap_label,
-            ),
-        };
-        let thr = res.delivered as f64 / (size as f64 * cycles as f64);
-        let line = format!(
-            "{lambda},{name},{thr:.4},{:.2},{},{:.3}",
-            res.stats.mean(),
-            res.stats.max(),
-            res.injection_rate()
-        );
-        (line, format!("lambda={lambda} algo={name}"), sinks)
-    });
-    println!("lambda,algo,throughput,l_avg,l_max,injection_rate");
-    let mut metrics = Vec::new();
-    for (line, label, sinks) in points {
-        println!("{line}");
-        metrics.push(MetricsRow {
-            table: 0,
-            n,
-            label: Some(label),
-            sinks,
+impl Sweep {
+    /// Run `points` sweep points (index `i` is point `i / 3` of router
+    /// `i % 3`) over `--jobs` workers, then print `header` and each
+    /// point's CSV line in sweep order, bit-identical for any `--jobs`.
+    /// A point yields its CSV line, its metrics label and its sinks.
+    fn run<F>(
+        &self,
+        header: &str,
+        table: usize,
+        points: usize,
+        point: F,
+    ) -> Result<Vec<MetricsRow>, String>
+    where
+        F: Fn(usize, Algo) -> Result<(String, String, SinkSet), String> + Sync,
+    {
+        // All three routers run on the same n-cube, so one `#` comment
+        // line reports the shard partition's cut for the whole sweep.
+        let (shards, partition) = (self.opts.shards, self.opts.partition);
+        if shards > 1 {
+            let rf = HypercubeFullyAdaptive::new(self.n);
+            let layout = fadr_sim::Layout::new(&rf);
+            let shards = shards.clamp(1, layout.num_nodes.max(1));
+            if let Ok(part) = fadr_sim::Partition::new(partition, rf.topology(), &layout, shards) {
+                println!("# partition: {}", part.stats);
+            }
+        }
+        let results = exec::run_indexed(points * Algo::ALL.len(), self.jobs, |i| {
+            point(i / Algo::ALL.len(), Algo::ALL[i % Algo::ALL.len()])
         });
+        let results = results.into_iter().collect::<Result<Vec<_>, String>>()?;
+        println!("{header}");
+        let mut metrics = Vec::new();
+        for (line, label, sinks) in results {
+            println!("{line}");
+            metrics.push(MetricsRow {
+                table,
+                n: self.n,
+                label: Some(label),
+                sinks,
+            });
+        }
+        Ok(metrics)
     }
-    metrics
+
+    /// Offered load vs throughput, latency and effective injection rate.
+    fn lambda(&self, cycles: u64) -> Result<Vec<MetricsRow>, String> {
+        let size = 1usize << self.n;
+        self.run(
+            "lambda,algo,throughput,l_avg,l_max,injection_rate",
+            0,
+            LAMBDAS.len(),
+            |l, algo| {
+                let lambda = LAMBDAS[l];
+                // λ points run at the engine's default seed.
+                let opts = RunOptions {
+                    dynamic_cycles: cycles,
+                    seed: SimConfig::default().seed,
+                    algo,
+                    ..self.opts
+                };
+                let (res, sinks) = dynamic_random_recorded(lambda, self.n, opts, self.rc)?;
+                let name = algo.name();
+                let thr = res.delivered as f64 / (size as f64 * cycles as f64);
+                let line = format!(
+                    "{lambda},{name},{thr:.4},{:.2},{},{:.3}",
+                    res.stats.mean(),
+                    res.stats.max(),
+                    res.injection_rate()
+                );
+                Ok((line, format!("lambda={lambda} algo={name}"), sinks))
+            },
+        )
+    }
+
+    /// Central-queue capacity vs latency on table `table`'s workload.
+    fn capacity(&self, table: usize) -> Result<Vec<MetricsRow>, String> {
+        const CAPS: [usize; 8] = [1, 2, 3, 5, 8, 10, 12, 16];
+        self.run("capacity,algo,l_avg,l_max", table, CAPS.len(), |c, algo| {
+            let cap = CAPS[c];
+            let opts = RunOptions {
+                queue_capacity: cap,
+                algo,
+                ..self.opts
+            };
+            // One dimension, one rep: the recorded row is the sweep point.
+            let mut recorded = run_rows_recorded(spec(table), &[self.n], opts, 1, self.rc)?;
+            let rec = recorded.remove(0);
+            let line = format!(
+                "{cap},{},{:.2},{}",
+                algo.name(),
+                rec.row.l_avg,
+                rec.row.l_max
+            );
+            Ok((line, format!("cap={cap} algo={}", algo.name()), rec.sinks))
+        })
+    }
 }
 
 /// The lane-batched λ sweep, run router-major: each router builds one
-/// [`LaneSim`] — and with it the routing-state table, the engine's one
-/// expensive set-up — and runs every λ on it in order (each run resets
-/// every lane, so a reused engine is exact). Routers fan out over
-/// `--jobs`; each work unit drops its engine when it finishes, so at
-/// `--jobs 1` only one table is alive at a time. Every point runs
-/// `lanes` independent replications (per-lane RNG streams split from
-/// the base seed) and reports mean ± 95% CI per column. Rows print in
-/// λ-major, router-minor order, bit-identical for any `--jobs` value.
+/// lane engine — and with it the routing-state table, the engine's one
+/// expensive set-up — and runs every λ on it in order
+/// ([`lane_sweep`]). Routers fan out over `--jobs`; each work unit drops
+/// its engine when it finishes, so at `--jobs 1` only one table is alive
+/// at a time. Every point runs `lanes` independent replications
+/// (per-lane RNG streams split from the base seed) and reports
+/// mean ± 95% CI per column. Rows print in λ-major, router-minor order,
+/// bit-identical for any `--jobs` value.
 fn lambda_sweep_lanes(n: usize, cycles: u64, jobs: usize, lanes: usize) {
-    fn router_points<R: RoutingFunction>(
-        rf: R,
-        name: &str,
-        cycles: u64,
-        lanes: usize,
-    ) -> Vec<String> {
-        let mut sim = LaneSim::new(rf, SimConfig::default(), lanes);
-        LAMBDAS
-            .iter()
-            .map(|&lambda| {
-                let p = dynamic_random_lanes(&mut sim, lambda, cycles);
-                format!(
-                    "{lambda},{name},{:.4},{:.4},{:.2},{:.2},{},{:.3},{:.3}",
-                    p.throughput.mean,
-                    p.throughput.half_width,
-                    p.l_avg.mean,
-                    p.l_avg.half_width,
-                    p.l_max,
-                    p.injection_rate.mean,
-                    p.injection_rate.half_width
-                )
-            })
-            .collect()
-    }
-    let rows = exec::run_indexed(ALGOS.len(), jobs, |i| {
-        let (name, algo) = ALGOS[i];
-        match algo {
-            Algo::FullyAdaptive => {
-                router_points(HypercubeFullyAdaptive::new(n), name, cycles, lanes)
-            }
-            Algo::StaticHang => router_points(HypercubeStaticHang::new(n), name, cycles, lanes),
-            Algo::EcubeSbp => router_points(EcubeSbp::new(n), name, cycles, lanes),
-        }
+    let rows = exec::run_indexed(Algo::ALL.len(), jobs, |i| {
+        lane_sweep(Algo::ALL[i], n, &LAMBDAS, cycles, lanes)
     });
     println!(
         "lambda,algo,throughput_mean,throughput_ci95,l_avg_mean,l_avg_ci95,l_max,\
          injection_rate_mean,injection_rate_ci95"
     );
-    for l in 0..LAMBDAS.len() {
-        for router in &rows {
-            println!("{}", router[l]);
+    for (l, lambda) in LAMBDAS.iter().enumerate() {
+        for (algo, points) in Algo::ALL.iter().zip(&rows) {
+            let p = &points[l];
+            println!(
+                "{lambda},{},{:.4},{:.4},{:.2},{:.2},{},{:.3},{:.3}",
+                algo.name(),
+                p.throughput.mean,
+                p.throughput.half_width,
+                p.l_avg.mean,
+                p.l_avg.half_width,
+                p.l_max,
+                p.injection_rate.mean,
+                p.injection_rate.half_width
+            );
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn capacity_sweep(
-    n: usize,
-    table: usize,
-    jobs: usize,
-    shards: usize,
-    partition: PartitionStrategy,
-    rc: RecordConfig,
-    faults: Option<&'static FaultPlan>,
-    snap: Option<SnapshotPolicy>,
-) -> Vec<MetricsRow> {
-    const CAPS: [usize; 8] = [1, 2, 3, 5, 8, 10, 12, 16];
-    print_partition_stats(n, shards, partition);
-    let points = exec::run_indexed(CAPS.len() * ALGOS.len(), jobs, |i| {
-        let cap = CAPS[i / ALGOS.len()];
-        let (name, algo) = ALGOS[i % ALGOS.len()];
-        let opts = RunOptions {
-            queue_capacity: cap,
-            algo,
-            shards,
-            partition,
-            faults,
-            snapshot: snap,
-            ..RunOptions::default()
-        };
-        // One dimension, one rep: the recorded row is the sweep point.
-        let recorded = run_rows_recorded(spec(table), &[n], opts, 1, rc);
-        let row = recorded[0].row;
-        let line = format!("{cap},{name},{:.2},{}", row.l_avg, row.l_max);
-        (
-            line,
-            format!("cap={cap} algo={name}"),
-            recorded[0].sinks.clone(),
-        )
-    });
-    println!("capacity,algo,l_avg,l_max");
-    let mut metrics = Vec::new();
-    for (line, label, sinks) in points {
-        println!("{line}");
-        metrics.push(MetricsRow {
-            table,
-            n,
-            label: Some(label),
-            sinks,
-        });
-    }
-    metrics
 }
 
 fn main() -> ExitCode {
@@ -366,16 +299,25 @@ fn run(argv: &[String]) -> Result<(), String> {
     if lanes > 1 && mode == "capacity" {
         return Err("the capacity sweep does not support --lanes (use the lambda sweep)".into());
     }
-    let rc = obs_args.record_config();
-    let faults = obs_args.load_fault_plan()?;
-    let snap = obs_args.snapshot_policy()?;
+    let sweep = Sweep {
+        n,
+        jobs,
+        rc: obs_args.record_config(),
+        opts: RunOptions {
+            shards,
+            partition,
+            faults: obs_args.load_fault_plan()?,
+            snapshot: obs_args.snapshot_policy()?,
+            ..RunOptions::default()
+        },
+    };
     let metrics = match mode.as_str() {
         "lambda" if lanes > 1 => {
             lambda_sweep_lanes(n, cycles, jobs, lanes);
             return Ok(());
         }
-        "lambda" => lambda_sweep(n, cycles, jobs, shards, partition, rc, faults, snap),
-        _ => capacity_sweep(n, table, jobs, shards, partition, rc, faults, snap),
+        "lambda" => sweep.lambda(cycles)?,
+        _ => sweep.capacity(table)?,
     };
     if obs_args.enabled() {
         obs::report(&metrics);

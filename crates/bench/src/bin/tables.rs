@@ -37,7 +37,8 @@
 //! Numeric flags parse strictly (`--cycles`, `--reps` and `--lanes`
 //! must be positive). Exit codes follow the workspace convention: 0 on
 //! success (and for `--help`, which prints to stdout), 2 on a usage or
-//! I/O error.
+//! I/O error (including a checkpoint snapshot that cannot be read,
+//! restored or written).
 
 #![forbid(unsafe_code)]
 
@@ -46,7 +47,7 @@ use std::process::ExitCode;
 use fadr_bench::exec;
 use fadr_bench::obs::{self, MetricsRow, ObsArgs};
 use fadr_bench::runner::{
-    dims_for, render_table, run_rows_lanes, run_table_dims_recorded, run_table_jobs, spec, Algo,
+    dims_for, render_table, run_rows_lanes, run_table_dims, run_table_dims_recorded, spec, Algo,
     RunOptions,
 };
 
@@ -201,18 +202,27 @@ fn main() -> ExitCode {
     let mut metrics: Vec<MetricsRow> = Vec::new();
     for &t in &args.tables {
         let start = std::time::Instant::now();
+        let dims = dims_for(spec(t), args.full);
         let table = if args.lanes > 1 {
-            let dims = dims_for(spec(t), args.full);
-            let rows = run_rows_lanes(spec(t), &dims, args.opts, args.jobs);
-            render_table(t, &rows)
+            Ok(render_table(
+                t,
+                &run_rows_lanes(spec(t), &dims, args.opts, args.jobs),
+            ))
         } else if args.obs.enabled() {
-            let dims = dims_for(spec(t), args.full);
-            let (table, recorded) =
-                run_table_dims_recorded(t, &dims, args.opts, args.jobs, args.obs.record_config());
-            metrics.extend(recorded.iter().map(|r| MetricsRow::from_recorded(t, r)));
-            table
+            let rc = args.obs.record_config();
+            run_table_dims_recorded(t, &dims, args.opts, args.jobs, rc).map(|(table, recorded)| {
+                metrics.extend(recorded.iter().map(|r| MetricsRow::from_recorded(t, r)));
+                table
+            })
         } else {
-            run_table_jobs(t, args.full, args.opts, args.jobs)
+            run_table_dims(t, &dims, args.opts, args.jobs)
+        };
+        let table = match table {
+            Ok(table) => table,
+            Err(e) => {
+                eprintln!("table {t}: {e}");
+                return ExitCode::from(exec::USAGE_ERROR);
+            }
         };
         if args.csv {
             print!("{}", table.to_csv());

@@ -226,7 +226,7 @@ impl ObsArgs {
     /// [`crate::runner::RunOptions`] across worker threads (one
     /// allocation per process invocation, like the fault plan).
     /// `--checkpoint-at` creates the directory eagerly so worker threads
-    /// never race on it.
+    /// never race on it; `--resume-from` must name an existing one.
     pub fn snapshot_policy(&self) -> Result<Option<SnapshotPolicy>, String> {
         match (self.checkpoint_at, &self.resume_from) {
             (Some(_), Some(_)) => {
@@ -244,6 +244,11 @@ impl ObsArgs {
                     dir: Box::leak(dir.into_boxed_path()),
                     resume: false,
                 }))
+            }
+            // A mistyped `--resume-from` must not silently rerun
+            // everything from cycle 0.
+            (None, Some(dir)) if !dir.is_dir() => {
+                Err(format!("--resume-from {}: not a directory", dir.display()))
             }
             (None, Some(dir)) => Ok(Some(SnapshotPolicy {
                 at: None,
@@ -547,11 +552,13 @@ mod tests {
         assert!(o.snapshot_policy().unwrap().is_none());
         o.checkpoint_at = Some(10);
         assert!(o.snapshot_policy().is_err(), "missing --checkpoint-dir");
-        o.resume_from = Some(PathBuf::from("x"));
+        o.resume_from = Some(std::env::temp_dir());
         assert!(o.snapshot_policy().is_err(), "mutually exclusive");
         o.checkpoint_at = None;
         let sp = o.snapshot_policy().unwrap().unwrap();
         assert!(sp.resume && sp.at.is_none());
+        o.resume_from = Some(PathBuf::from("/nonexistent/snapshots"));
+        assert!(o.snapshot_policy().is_err(), "missing resume directory");
         assert!(o.validate_shards(1).is_ok());
         o.waitgraph = true;
         assert!(o.validate_shards(4).is_err(), "waitgraph is global");

@@ -7,123 +7,27 @@
 //! flight-recorder debugging loop: checkpoint near the anomaly, replay
 //! deterministically, diff.
 //!
-//! The snapshot's `meta` line is written by the runner
-//! ([`meta_line`]): a work-unit label followed by `key=value` pairs
-//! carrying everything the engine state does not — which router ran
-//! ([`Algo`]), which paper table (hence pattern and injection model),
-//! the dynamic horizon, and the workload seed. Engine state (queue
-//! capacity, RNG seed, in-flight packets) lives in the snapshot body
-//! itself.
+//! The snapshot's `meta` line *is* the run's [`WorkUnit`]
+//! ([`WorkUnit::meta_line`]): a label followed by `key=value` pairs
+//! carrying everything the engine state does not — which router ran,
+//! which paper table or offered load, the dynamic horizon, and the
+//! seed. `replay` parses it back and rebuilds the workload with the
+//! same `WorkUnit::workload` constructor the runner used, so the
+//! replayed segment injects exactly what the original run did. Engine
+//! state (queue capacity, RNG seed, in-flight packets) lives in the
+//! snapshot body itself, which the engine checks against the unit's
+//! configuration on restore.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use fadr_core::{EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang};
-use fadr_metrics::{JournalSink, SinkSet, StallReport, WaitGraphSink};
-use fadr_qdg::RoutingFunction;
-use fadr_sim::{
-    DynamicOutcome, FaultPlan, SimConfig, Simulator, SnapshotMsg, StaticOutcome, StopReason,
-};
-use fadr_workloads::{static_backlog, Pattern};
+use fadr_metrics::{JournalSink, StallReport, WaitGraphSink};
+use fadr_sim::{DynamicOutcome, FaultPlan, Simulator, StaticOutcome, StopReason};
 
-use crate::runner::{spec, Algo, PacketsPerNode, RunOptions};
-
-/// Render the snapshot metadata line for one work unit. `lambda` is
-/// `Some` only for non-table dynamic points (sweeps); paper tables
-/// derive their injection model from the table number.
-#[allow(clippy::too_many_arguments)]
-pub fn meta_line(
-    label: &str,
-    algo: Algo,
-    table: usize,
-    n: usize,
-    cap: usize,
-    cycles: u64,
-    seed: u64,
-    lambda: Option<f64>,
-) -> String {
-    let mut out = format!(
-        "{label} algo={} table={table} n={n} cap={cap} cycles={cycles} seed={seed}",
-        algo.name()
-    );
-    if let Some(l) = lambda {
-        out.push_str(&format!(" lambda={l}"));
-    }
-    out
-}
-
-/// Parsed snapshot metadata (see [`meta_line`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotMeta {
-    /// Work-unit label (snapshot file stem).
-    pub label: String,
-    /// Router that produced the snapshot.
-    pub algo: Algo,
-    /// Paper table number (0 = a sweep point: dynamic, uniform random).
-    pub table: usize,
-    /// Hypercube dimension.
-    pub n: usize,
-    /// Central queue capacity.
-    pub cap: usize,
-    /// Dynamic horizon in routing cycles.
-    pub cycles: u64,
-    /// Workload seed (pattern compilation and backlog/injection draws).
-    pub seed: u64,
-    /// Injection rate for sweep points (`table == 0`).
-    pub lambda: Option<f64>,
-}
-
-impl SnapshotMeta {
-    /// Parse a metadata line (label first, then `key=value` pairs).
-    pub fn parse(line: &str) -> Result<Self, String> {
-        let mut words = line.split_whitespace();
-        let label = words.next().ok_or("empty snapshot meta line")?.to_string();
-        let mut meta = SnapshotMeta {
-            label,
-            algo: Algo::FullyAdaptive,
-            table: 0,
-            n: 0,
-            cap: 0,
-            cycles: 0,
-            seed: 0,
-            lambda: None,
-        };
-        let mut seen_algo = false;
-        let mut seen_n = false;
-        for w in words {
-            let (key, val) = w
-                .split_once('=')
-                .ok_or_else(|| format!("bad meta field `{w}` (expected key=value)"))?;
-            match key {
-                "algo" => {
-                    meta.algo = Algo::parse(val).ok_or_else(|| format!("unknown algo `{val}`"))?;
-                    seen_algo = true;
-                }
-                "table" => meta.table = val.parse().map_err(|e| format!("table: {e}"))?,
-                "n" => {
-                    meta.n = val.parse().map_err(|e| format!("n: {e}"))?;
-                    seen_n = true;
-                }
-                "cap" => meta.cap = val.parse().map_err(|e| format!("cap: {e}"))?,
-                "cycles" => meta.cycles = val.parse().map_err(|e| format!("cycles: {e}"))?,
-                "seed" => meta.seed = val.parse().map_err(|e| format!("seed: {e}"))?,
-                "lambda" => {
-                    meta.lambda = Some(val.parse().map_err(|e| format!("lambda: {e}"))?);
-                }
-                // Unknown keys are ignored so older binaries can read
-                // snapshots from newer ones.
-                _ => {}
-            }
-        }
-        if !seen_algo || !seen_n {
-            return Err("snapshot meta is missing algo= or n= (not a runner snapshot?)".into());
-        }
-        Ok(meta)
-    }
-}
+use crate::obs::RecordConfig;
+use crate::runner::{Router, RouterTask, WorkUnit, Workload};
 
 /// Read the `meta` line of a snapshot without restoring it.
-pub fn peek_meta(text: &str) -> Result<SnapshotMeta, String> {
+pub fn peek_meta(text: &str) -> Result<WorkUnit, String> {
     let mut lines = text.lines();
     match lines.next() {
         Some("fadr-snapshot/1") => {}
@@ -133,7 +37,7 @@ pub fn peek_meta(text: &str) -> Result<SnapshotMeta, String> {
         .next()
         .and_then(|l| l.strip_prefix("meta "))
         .ok_or("snapshot has no meta line")?;
-    SnapshotMeta::parse(meta)
+    WorkUnit::parse(meta)
 }
 
 /// Replay controls (the `replay` binary's flags).
@@ -155,8 +59,8 @@ pub struct ReplayOptions {
 /// What a replay produced.
 #[derive(Debug, Clone)]
 pub struct ReplayOutput {
-    /// The snapshot's parsed metadata.
-    pub meta: SnapshotMeta,
+    /// The snapshot's work unit, parsed from its meta line.
+    pub meta: WorkUnit,
     /// Cycle the snapshot restored to (the checkpoint cycle).
     pub start_cycle: u64,
     /// Cycle the replay stopped at.
@@ -176,108 +80,77 @@ pub struct ReplayOutput {
 /// engine; snapshots are partition-agnostic, so shard-run checkpoints
 /// replay here unchanged).
 pub fn replay(text: &str, ro: &ReplayOptions) -> Result<ReplayOutput, String> {
-    let meta = peek_meta(text)?;
-    match meta.algo {
-        Algo::FullyAdaptive => replay_with(HypercubeFullyAdaptive::new(meta.n), meta, text, ro),
-        Algo::StaticHang => replay_with(HypercubeStaticHang::new(meta.n), meta, text, ro),
-        Algo::EcubeSbp => replay_with(EcubeSbp::new(meta.n), meta, text, ro),
+    struct Task<'a> {
+        unit: WorkUnit,
+        text: &'a str,
+        ro: &'a ReplayOptions,
     }
-}
-
-fn replay_with<R>(
-    rf: R,
-    meta: SnapshotMeta,
-    text: &str,
-    ro: &ReplayOptions,
-) -> Result<ReplayOutput, String>
-where
-    R: RoutingFunction,
-    R::Msg: SnapshotMsg,
-{
-    if meta.table > 12 {
-        return Err(format!(
-            "snapshot names table {}; tables are 1–12",
-            meta.table
-        ));
-    }
-    let size = 1usize << meta.n;
-    // The engine validates this config against the snapshot's `cfg`
-    // record on restore, so a tampered meta line cannot silently replay
-    // the wrong configuration.
-    let cfg = SimConfig {
-        queue_capacity: meta.cap,
-        seed: meta.seed,
-        ..SimConfig::default()
-    };
-    let mut sinks = SinkSet::new().with_journal(if ro.journal_capacity == 0 {
-        JournalSink::DEFAULT_CAPACITY
-    } else {
-        ro.journal_capacity
-    });
-    if let Some(k) = ro.watchdog {
-        sinks = sinks.with_watchdog(k);
-    }
-    if ro.waitgraph {
-        sinks = sinks.with_waitgraph();
-    }
-    let mut sim = Simulator::with_recorder(rf, cfg, sinks);
-    if let Some(plan) = ro.faults {
-        sim = sim.with_faults(plan.clone());
-    }
-    let (_, progress) = sim.restore(text)?;
-    let start_cycle = sim.cycle();
-    if let Some(to) = ro.to {
-        if to <= start_cycle {
-            return Err(format!(
-                "--to {to} is not after the checkpoint cycle {start_cycle}"
-            ));
+    impl RouterTask for Task<'_> {
+        type Output = Result<ReplayOutput, String>;
+        fn run<R: Router>(self, rf: R) -> Self::Output {
+            let Self { unit, text, ro } = self;
+            let rc = RecordConfig {
+                journal: Some(match ro.journal_capacity {
+                    0 => JournalSink::DEFAULT_CAPACITY,
+                    cap => cap,
+                }),
+                watchdog: ro.watchdog,
+                waitgraph: ro.waitgraph,
+                ..RecordConfig::default()
+            };
+            let sinks = rc.build(rf.topology().num_nodes(), rf.num_classes());
+            // The engine validates the unit's config against the
+            // snapshot's `cfg` record on restore, so a tampered meta line
+            // cannot silently replay the wrong configuration.
+            let mut sim = Simulator::with_recorder(rf, unit.config(), sinks);
+            if let Some(plan) = ro.faults {
+                sim = sim.with_faults(plan.clone());
+            }
+            let (_, progress) = sim.restore(text)?;
+            let start_cycle = sim.cycle();
+            if let Some(to) = ro.to.filter(|&to| to <= start_cycle) {
+                return Err(format!(
+                    "--to {to} is not after the checkpoint cycle {start_cycle}"
+                ));
+            }
+            let w = unit.workload();
+            if !w.accepts(&progress) {
+                return Err("snapshot progress does not fit its work unit's workload".into());
+            }
+            let outcome = match &w {
+                Workload::Backlog(b) => match sim.resume_static(b, progress, ro.to) {
+                    StaticOutcome::Paused(_) => format!("paused at cycle {}", sim.cycle()),
+                    StaticOutcome::Finished(res) => describe_stop(res.stop, res.drained),
+                },
+                &Workload::Dynamic {
+                    lambda,
+                    ref pattern,
+                    nodes,
+                } => {
+                    let dest = |v, rng: &mut StdRng| pattern.draw(v, nodes, rng);
+                    match sim.resume_dynamic(lambda, dest, unit.cycles, progress, ro.to) {
+                        DynamicOutcome::Paused(_) => format!("paused at cycle {}", sim.cycle()),
+                        DynamicOutcome::Finished(res) => describe_stop(res.stop, true),
+                    }
+                }
+            };
+            let end_cycle = sim.cycle();
+            let mut sinks = sim.into_recorder();
+            sinks.flush();
+            let stall = sinks.stall().cloned();
+            Ok(ReplayOutput {
+                meta: unit,
+                start_cycle,
+                end_cycle,
+                outcome,
+                journal: sinks.journal.take().ok_or("journal sink vanished")?,
+                waitgraph: sinks.waitgraph.take(),
+                stall,
+            })
         }
     }
-
-    let pattern = if meta.table >= 1 {
-        spec(meta.table)
-            .pattern
-            .compile(meta.n, meta.seed ^ 0x1e7e1)
-    } else {
-        Pattern::Random
-    };
-    let outcome = if meta.table >= 1 && spec(meta.table).packets.is_some() {
-        let k = match spec(meta.table).packets {
-            Some(PacketsPerNode::One) => 1,
-            Some(PacketsPerNode::LogN) => meta.n,
-            None => unreachable!(),
-        };
-        let mut rng = StdRng::seed_from_u64(meta.seed ^ 0xbac1);
-        let backlog = static_backlog(&pattern, size, k, &mut rng);
-        match sim.resume_static(&backlog, progress, ro.to) {
-            StaticOutcome::Paused(_) => format!("paused at cycle {}", sim.cycle()),
-            StaticOutcome::Finished(res) => describe_stop(res.stop, res.drained),
-        }
-    } else {
-        let lambda = if meta.table >= 1 {
-            1.0
-        } else {
-            meta.lambda.unwrap_or(1.0)
-        };
-        let dest = move |s: usize, rng: &mut StdRng| pattern.draw(s, size, rng);
-        match sim.resume_dynamic(lambda, dest, meta.cycles, progress, ro.to) {
-            DynamicOutcome::Paused(_) => format!("paused at cycle {}", sim.cycle()),
-            DynamicOutcome::Finished(res) => describe_stop(res.stop, true),
-        }
-    };
-    let end_cycle = sim.cycle();
-    let mut sinks = sim.into_recorder();
-    sinks.flush();
-    let stall = sinks.stall().cloned();
-    Ok(ReplayOutput {
-        meta,
-        start_cycle,
-        end_cycle,
-        outcome,
-        journal: sinks.journal.take().ok_or("journal sink vanished")?,
-        waitgraph: sinks.waitgraph.take(),
-        stall,
-    })
+    let unit = peek_meta(text)?;
+    unit.algo.run(unit.n, Task { unit, text, ro })
 }
 
 fn describe_stop(stop: StopReason, drained: bool) -> String {
@@ -319,7 +192,7 @@ pub fn journal_window(lines: &[String], floor: u64, ceil: Option<u64>) -> Vec<St
 /// (`# table <t> n=<n> ...` for table rows, `# <label> n=<n> ...` for
 /// sweep points); a replayed snapshot diffs against exactly one of
 /// them. A headerless file is taken whole.
-pub fn select_section(lines: &[String], meta: &SnapshotMeta) -> Result<Vec<String>, String> {
+pub fn select_section(lines: &[String], meta: &WorkUnit) -> Result<Vec<String>, String> {
     let mut sections: Vec<(String, Vec<String>)> = Vec::new();
     for line in lines {
         if let Some(hdr) = line.strip_prefix('#') {
@@ -389,29 +262,24 @@ pub fn first_divergence(
     None
 }
 
-/// Convenience used by tests and the binary: the meta line a table work
-/// unit would write, from its [`RunOptions`].
-pub fn table_meta(label: &str, table: usize, n: usize, opts: &RunOptions, seed: u64) -> String {
-    meta_line(
-        label,
-        opts.algo,
-        table,
-        n,
-        opts.queue_capacity,
-        opts.dynamic_cycles,
-        seed,
-        None,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Algo;
 
     #[test]
     fn meta_round_trips() {
-        let line = meta_line("t9_n6_q5_r0", Algo::EcubeSbp, 9, 6, 5, 500, 0xFAD2, None);
-        let m = SnapshotMeta::parse(&line).unwrap();
+        let unit = WorkUnit {
+            label: "t9_n6_q5_r0".into(),
+            algo: Algo::EcubeSbp,
+            table: 9,
+            n: 6,
+            cap: 5,
+            cycles: 500,
+            seed: 0xFAD2,
+            lambda: None,
+        };
+        let m = WorkUnit::parse(&unit.meta_line()).unwrap();
         assert_eq!(m.label, "t9_n6_q5_r0");
         assert_eq!(m.algo, Algo::EcubeSbp);
         assert_eq!(
@@ -420,32 +288,32 @@ mod tests {
         );
         assert_eq!(m.lambda, None);
 
-        let line = meta_line(
-            "lambda0.4_fully-adaptive",
-            Algo::FullyAdaptive,
-            0,
-            8,
-            5,
-            300,
-            7,
-            Some(0.4),
-        );
-        let m = SnapshotMeta::parse(&line).unwrap();
+        let unit = WorkUnit {
+            label: "lambda0.4_fully-adaptive".into(),
+            algo: Algo::FullyAdaptive,
+            table: 0,
+            n: 8,
+            cap: 5,
+            cycles: 300,
+            seed: 7,
+            lambda: Some(0.4),
+        };
+        let m = WorkUnit::parse(&unit.meta_line()).unwrap();
         assert_eq!(m.table, 0);
         assert_eq!(m.lambda, Some(0.4));
     }
 
     #[test]
     fn meta_rejects_garbage() {
-        assert!(SnapshotMeta::parse("").is_err());
-        assert!(SnapshotMeta::parse("label onlylabel").is_err());
-        assert!(SnapshotMeta::parse("label algo=warp n=4").is_err());
+        assert!(WorkUnit::parse("").is_err());
+        assert!(WorkUnit::parse("label onlylabel").is_err());
+        assert!(WorkUnit::parse("label algo=warp n=4").is_err());
         assert!(
-            SnapshotMeta::parse("label algo=fully-adaptive").is_err(),
+            WorkUnit::parse("label algo=fully-adaptive").is_err(),
             "missing n"
         );
         // Unknown keys are forward-compatible noise, not errors.
-        assert!(SnapshotMeta::parse("label algo=fully-adaptive n=4 future=1").is_ok());
+        assert!(WorkUnit::parse("label algo=fully-adaptive n=4 future=1").is_ok());
     }
 
     #[test]
@@ -491,13 +359,12 @@ mod tests {
         .iter()
         .map(ToString::to_string)
         .collect();
-        let t9 = SnapshotMeta::parse("t9_n10_q5_r0 algo=fully-adaptive table=9 n=10").unwrap();
+        let t9 = WorkUnit::parse("t9_n10_q5_r0 algo=fully-adaptive table=9 n=10").unwrap();
         assert_eq!(select_section(&lines, &t9).unwrap(), vec!["1 a", "2 b"]);
         let sweep =
-            SnapshotMeta::parse("lambda0.4_ecube-sbp algo=ecube-sbp table=0 n=10 lambda=0.4")
-                .unwrap();
+            WorkUnit::parse("lambda0.4_ecube-sbp algo=ecube-sbp table=0 n=10 lambda=0.4").unwrap();
         assert_eq!(select_section(&lines, &sweep).unwrap(), vec!["4 d"]);
-        let miss = SnapshotMeta::parse("t1_n4_q5_r0 algo=fully-adaptive table=1 n=4").unwrap();
+        let miss = WorkUnit::parse("t1_n4_q5_r0 algo=fully-adaptive table=1 n=4").unwrap();
         assert!(select_section(&lines, &miss).is_err());
         // Headerless journals are taken whole.
         let bare: Vec<String> = vec!["1 a".into(), "2 b".into()];

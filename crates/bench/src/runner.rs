@@ -1,18 +1,37 @@
 //! Table specifications and experiment execution.
+//!
+//! Every simulation the harness runs is one [`WorkUnit`]: a replication
+//! `(table, n, rep)` of a paper-table row, or a sweep point `(λ, n)`,
+//! with its router, queue capacity, horizon and seed. The unit derives
+//! everything else: the [`SimConfig`], the snapshot label, the snapshot
+//! meta line (which [`WorkUnit::parse`] reads back, so `replay` rebuilds
+//! the same unit) and the `Workload` (a static backlog, or λ plus a
+//! destination pattern).
+//!
+//! One private driver runs a unit on the sequential or the sharded
+//! engine (`RunOptions::shards`), recorder-free or with recording sinks,
+//! straight through or split at a checkpoint ([`SnapshotPolicy`]); every
+//! combination yields bit-identical rows. Lane rows batch a row's
+//! replications as lanes of one [`LaneSim`], each lane seeded and loaded
+//! from its own unit.
+
+use std::io::ErrorKind;
+use std::marker::PhantomData;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fadr_core::{EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang};
 use fadr_metrics::{
-    table::fmt2, MeanCi, Recorder, RunningStats, ShardRecorder, SinkSet, StallReport, Table,
+    table::fmt2, LatencyStats, MeanCi, NoRecorder, RunningStats, ShardRecorder, SinkSet, Table,
     WatchdogSink,
 };
 use fadr_qdg::RoutingFunction;
 use fadr_sim::{
-    DynamicOutcome, DynamicResult, LaneSim, PartitionStrategy, ShardedSimulator, SimConfig,
-    Simulator, SnapshotMsg, StaticOutcome, StaticResult, StopReason,
+    DynamicOutcome, DynamicResult, LaneSim, PartitionStrategy, RunProgress, ShardedSimulator,
+    SimConfig, Simulator, SnapshotMsg, StaticOutcome, StaticResult, StopReason,
 };
+use fadr_topology::Hypercube;
 use fadr_workloads::{static_backlog, Pattern};
 
 use crate::obs::RecordConfig;
@@ -157,6 +176,9 @@ pub enum Algo {
 }
 
 impl Algo {
+    /// Every router, in the sweeps' output order.
+    pub const ALL: [Algo; 3] = [Self::FullyAdaptive, Self::StaticHang, Self::EcubeSbp];
+
     /// Parse a `--algo` argument.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -176,17 +198,26 @@ impl Algo {
             Self::EcubeSbp => "ecube-sbp",
         }
     }
+
+    /// Run `task` on this router over the `n`-cube: the harness's one
+    /// `Algo` → router match.
+    pub(crate) fn run<T: RouterTask>(self, n: usize, task: T) -> T::Output {
+        match self {
+            Algo::FullyAdaptive => task.run(HypercubeFullyAdaptive::new(n)),
+            Algo::StaticHang => task.run(HypercubeStaticHang::new(n)),
+            Algo::EcubeSbp => task.run(EcubeSbp::new(n)),
+        }
+    }
 }
 
 /// Flight-recorder checkpoint/resume policy (`--checkpoint-at` /
 /// `--resume-from`): every work unit either writes a `fadr-snapshot/1`
 /// file when it reaches a cycle (then continues in-process, so measured
 /// rows are unchanged), or restores its snapshot and resumes instead of
-/// running from cycle 0. Snapshot files are named `<label>.snap` where
-/// the label is the work unit's coordinates (`t<table>_n<n>_q<cap>_r<rep>`
-/// for table rows), so resume pairs with the checkpoint run per unit.
-/// Runs that finish before the checkpoint cycle write no snapshot and
-/// rerun from cycle 0 on resume — either way the final tables are
+/// running from cycle 0. Snapshot files are named `<label>.snap` after
+/// the [`WorkUnit`] label, so resume pairs with the checkpoint run per
+/// unit. Runs that finish before the checkpoint cycle write no snapshot
+/// and rerun from cycle 0 on resume — either way the final tables are
 /// bit-identical to an uninterrupted run.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotPolicy {
@@ -258,6 +289,484 @@ impl Default for RunOptions {
     }
 }
 
+/// A router every harness engine can run and checkpoint (a bound
+/// alias, implemented for every such router).
+pub(crate) trait Router: RoutingFunction<Msg = Self::Message> + Clone + Send {
+    /// The router's message type.
+    type Message: Send + SnapshotMsg;
+}
+
+impl<R> Router for R
+where
+    R: RoutingFunction + Clone + Send,
+    R::Msg: Send + SnapshotMsg,
+{
+    type Message = R::Msg;
+}
+
+/// Code generic over the router type, handed to [`Algo::run`] (a
+/// closure cannot be generic, so each caller names its task).
+pub(crate) trait RouterTask {
+    /// What the task returns.
+    type Output;
+    /// Run on router `rf`.
+    fn run<R: Router>(self, rf: R) -> Self::Output;
+}
+
+/// One harness work unit: replication `rep` of row `n` of a paper table
+/// (`table >= 1`), or a uniform-random sweep point at offered load
+/// `lambda` (`table == 0`).
+///
+/// Its fields are exactly those of the snapshot meta line
+/// ([`WorkUnit::meta_line`], read back by [`WorkUnit::parse`]), so a
+/// snapshot names the unit that wrote it: `replay` rebuilds the workload
+/// from it, and a resume refuses a snapshot of any other unit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkUnit {
+    /// Snapshot file stem: `t<table>_n<n>_q<cap>_r<rep>` for table rows,
+    /// `lambda<λ>_<algo>` for sweep points.
+    pub label: String,
+    /// Router under test.
+    pub algo: Algo,
+    /// Paper table number (0 = a sweep point: dynamic, uniform random).
+    pub table: usize,
+    /// Hypercube dimension.
+    pub n: usize,
+    /// Central queue capacity.
+    pub cap: usize,
+    /// Dynamic horizon in routing cycles.
+    pub cycles: u64,
+    /// Engine seed; the pattern and backlog seeds derive from it.
+    pub seed: u64,
+    /// Offered load of a sweep point (`table == 0`).
+    pub lambda: Option<f64>,
+}
+
+/// What a work unit injects.
+#[derive(Debug, Clone)]
+pub(crate) enum Workload {
+    /// Static injection: node `v` injects the packets of `backlog[v]` in
+    /// order, and the run ends when the network drains.
+    Backlog(Vec<Vec<usize>>),
+    /// Dynamic injection: every node tries to inject with probability
+    /// `lambda` each cycle, drawing destinations from `pattern` over
+    /// `nodes` nodes.
+    Dynamic {
+        /// Offered load.
+        lambda: f64,
+        /// Destination pattern.
+        pattern: Pattern,
+        /// Network size.
+        nodes: usize,
+    },
+}
+
+impl Workload {
+    /// Whether restored run progress belongs to this workload (a static
+    /// cursor over exactly its backlog, or a dynamic run).
+    pub(crate) fn accepts(&self, progress: &RunProgress) -> bool {
+        match (self, progress) {
+            (Self::Backlog(b), RunProgress::Static { next_idx, .. }) => next_idx.len() == b.len(),
+            (Self::Dynamic { .. }, RunProgress::Dynamic { .. }) => true,
+            _ => false,
+        }
+    }
+}
+
+impl WorkUnit {
+    /// Replication `rep` of row `n` of table `spec`. The seed is a pure
+    /// function of `(opts.seed, table, rep, n)`, so a unit's result does
+    /// not depend on which worker runs it (see [`run_rows`]).
+    pub(crate) fn row(spec: TableSpec, n: usize, rep: u64, opts: &RunOptions) -> Self {
+        Self {
+            // The capacity is in the label because the capacity sweep
+            // varies it with everything else fixed.
+            label: format!("t{}_n{n}_q{}_r{rep}", spec.number, opts.queue_capacity),
+            algo: opts.algo,
+            table: spec.number,
+            n,
+            cap: opts.queue_capacity,
+            cycles: opts.dynamic_cycles,
+            seed: opts.seed ^ ((spec.number as u64) << 32) ^ (rep << 16) ^ n as u64,
+            lambda: None,
+        }
+    }
+
+    /// The uniform-random sweep point at offered load `lambda` on the
+    /// `n`-cube, seeded with `opts.seed` itself.
+    pub(crate) fn point(lambda: f64, n: usize, opts: &RunOptions) -> Self {
+        Self {
+            label: format!("lambda{lambda}_{}", opts.algo.name()),
+            algo: opts.algo,
+            table: 0,
+            n,
+            cap: opts.queue_capacity,
+            cycles: opts.dynamic_cycles,
+            seed: opts.seed,
+            lambda: Some(lambda),
+        }
+    }
+
+    /// The engine configuration.
+    pub(crate) fn config(&self) -> SimConfig {
+        SimConfig {
+            queue_capacity: self.cap,
+            seed: self.seed,
+            ..SimConfig::default()
+        }
+    }
+
+    /// The unit's workload: a table row's pattern and static backlog
+    /// derive from its seed, dynamic tables run at λ = 1, and sweep
+    /// points draw uniform-random destinations at their own λ.
+    pub(crate) fn workload(&self) -> Workload {
+        let nodes = 1usize << self.n;
+        let (pattern, packets) = match self.table {
+            0 => (Pattern::Random, None),
+            t => (
+                spec(t).pattern.compile(self.n, self.seed ^ 0x1e7e1),
+                spec(t).packets,
+            ),
+        };
+        let k = match packets {
+            None => {
+                let lambda = self.lambda.unwrap_or(1.0);
+                return Workload::Dynamic {
+                    lambda,
+                    pattern,
+                    nodes,
+                };
+            }
+            Some(PacketsPerNode::One) => 1,
+            Some(PacketsPerNode::LogN) => self.n,
+        };
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xbac1);
+        Workload::Backlog(static_backlog(&pattern, nodes, k, &mut rng))
+    }
+
+    /// The snapshot meta line: the label, then `key=value` pairs
+    /// (`lambda` only for sweep points).
+    pub fn meta_line(&self) -> String {
+        let mut out = format!(
+            "{} algo={} table={} n={} cap={} cycles={} seed={}",
+            self.label,
+            self.algo.name(),
+            self.table,
+            self.n,
+            self.cap,
+            self.cycles,
+            self.seed
+        );
+        if let Some(l) = self.lambda {
+            out.push_str(&format!(" lambda={l}"));
+        }
+        out
+    }
+
+    /// Parse a meta line (label first, then `key=value` pairs; unknown
+    /// keys are ignored so older binaries can read newer snapshots).
+    pub fn parse(line: &str) -> Result<Self, String> {
+        let mut words = line.split_whitespace();
+        let label = words.next().ok_or("empty snapshot meta line")?.to_string();
+        let mut unit = WorkUnit {
+            label,
+            algo: Algo::FullyAdaptive,
+            table: 0,
+            n: 0,
+            cap: 0,
+            cycles: 0,
+            seed: 0,
+            lambda: None,
+        };
+        let mut algo = None;
+        for w in words {
+            let (key, val) = w
+                .split_once('=')
+                .ok_or_else(|| format!("bad meta field `{w}` (expected key=value)"))?;
+            let bad = || format!("bad meta field `{w}` (not a valid {key})");
+            match key {
+                "algo" => algo = Some(Algo::parse(val).ok_or_else(bad)?),
+                "table" => unit.table = val.parse().ok().filter(|&t| t <= 12).ok_or_else(bad)?,
+                "n" => {
+                    let dims = 1..=Hypercube::MAX_DIMS;
+                    unit.n = val
+                        .parse()
+                        .ok()
+                        .filter(|n| dims.contains(n))
+                        .ok_or_else(bad)?;
+                }
+                "cap" => unit.cap = val.parse().map_err(|_| bad())?,
+                "cycles" => unit.cycles = val.parse().map_err(|_| bad())?,
+                "seed" => unit.seed = val.parse().map_err(|_| bad())?,
+                "lambda" => {
+                    let l = val.parse().ok().filter(|l| (0.0..=1.0).contains(l));
+                    unit.lambda = Some(l.ok_or_else(bad)?);
+                }
+                _ => {}
+            }
+        }
+        match algo {
+            Some(algo) if unit.n > 0 => Ok(WorkUnit { algo, ..unit }),
+            _ => Err("snapshot meta is missing algo= or n= (not a runner snapshot?)".into()),
+        }
+    }
+}
+
+/// The recorder a work unit runs with: [`NoRecorder`] on the unrecorded
+/// path, so `Rec::ENABLED` stays `false` and every hook compiles away,
+/// or a [`SinkSet`] built from a [`RecordConfig`].
+trait UnitRecorder: ShardRecorder + Send {
+    /// The recorder of one engine, or of one shard of a sharded engine.
+    fn build(rc: &RecordConfig, nodes: usize, classes: usize) -> Self;
+    /// Close a run: install the sharded engine's global watchdog, if
+    /// any, and flush buffered sinks.
+    fn finish(&mut self, watchdog: Option<WatchdogSink>);
+}
+
+impl UnitRecorder for NoRecorder {
+    fn build(_: &RecordConfig, _: usize, _: usize) -> Self {
+        NoRecorder
+    }
+    fn finish(&mut self, _: Option<WatchdogSink>) {}
+}
+
+impl UnitRecorder for SinkSet {
+    fn build(rc: &RecordConfig, nodes: usize, classes: usize) -> Self {
+        rc.build(nodes, classes)
+    }
+    fn finish(&mut self, watchdog: Option<WatchdogSink>) {
+        if watchdog.is_some() {
+            self.watchdog = watchdog;
+        }
+        self.flush();
+    }
+}
+
+/// How one leg of a run ended.
+enum Leg {
+    Paused(RunProgress),
+    Static(StaticResult),
+    Dynamic(DynamicResult),
+}
+
+impl From<StaticOutcome> for Leg {
+    fn from(outcome: StaticOutcome) -> Self {
+        match outcome {
+            StaticOutcome::Paused(progress) => Self::Paused(progress),
+            StaticOutcome::Finished(res) => Self::Static(res),
+        }
+    }
+}
+
+impl From<DynamicOutcome> for Leg {
+    fn from(outcome: DynamicOutcome) -> Self {
+        match outcome {
+            DynamicOutcome::Paused(progress) => Self::Paused(progress),
+            DynamicOutcome::Finished(res) => Self::Dynamic(res),
+        }
+    }
+}
+
+/// The engine a work unit runs on: sequential, or sharded when
+/// `RunOptions::shards > 1`. Snapshots are partition-agnostic, so a
+/// checkpoint from either engine resumes on either.
+#[allow(clippy::large_enum_variant)] // one per work unit, built once
+enum Engine<R: RoutingFunction, Rec: ShardRecorder> {
+    Seq(Simulator<R, Rec>),
+    Sharded(ShardedSimulator<R, Rec>),
+}
+
+impl<R: Router, Rec: UnitRecorder> Engine<R, Rec> {
+    /// Build the engine of `unit`. Sharded, its per-shard recorders lack
+    /// the global watchdog (a shard sees only its own deliveries) and
+    /// wait-for-graph probe (binaries reject `--waitgraph` with shards);
+    /// the engine runs the watchdog instead.
+    fn new(rf: R, unit: &WorkUnit, opts: &RunOptions, rc: &RecordConfig) -> Self {
+        let (cfg, nodes, classes) = (unit.config(), rf.topology().num_nodes(), rf.num_classes());
+        if opts.shards > 1 {
+            let shard_rc = RecordConfig {
+                watchdog: None,
+                waitgraph: false,
+                ..*rc
+            };
+            let mut sim = ShardedSimulator::with_recorders_strategy(
+                rf,
+                cfg,
+                opts.shards,
+                opts.partition,
+                |_| Rec::build(&shard_rc, nodes, classes),
+            );
+            if let Some(plan) = opts.faults {
+                sim = sim.with_faults(plan.clone());
+            }
+            if let Some(k) = rc.watchdog {
+                sim = sim.with_watchdog(k);
+            }
+            Self::Sharded(sim)
+        } else {
+            let mut sim = Simulator::with_recorder(rf, cfg, Rec::build(rc, nodes, classes));
+            if let Some(plan) = opts.faults {
+                sim = sim.with_faults(plan.clone());
+            }
+            Self::Seq(sim)
+        }
+    }
+
+    /// Run `w` from cycle 0, or from restored progress `from`, until it
+    /// ends or reaches cycle `pause_at`.
+    fn leg(
+        &mut self,
+        w: &Workload,
+        cycles: u64,
+        from: Option<RunProgress>,
+        pause_at: Option<u64>,
+    ) -> Leg {
+        match w {
+            Workload::Backlog(b) => match (self, from) {
+                (Self::Seq(s), None) => s.run_static_until(b, pause_at).into(),
+                (Self::Seq(s), Some(p)) => s.resume_static(b, p, pause_at).into(),
+                (Self::Sharded(s), None) => s.run_static_until(b, pause_at).into(),
+                (Self::Sharded(s), Some(p)) => s.resume_static(b, p, pause_at).into(),
+            },
+            &Workload::Dynamic {
+                lambda,
+                ref pattern,
+                nodes,
+            } => {
+                let dest = |v, rng: &mut StdRng| pattern.draw(v, nodes, rng);
+                match (self, from) {
+                    (Self::Seq(s), None) => s.run_dynamic_until(lambda, dest, cycles, pause_at),
+                    (Self::Seq(s), Some(p)) => s.resume_dynamic(lambda, dest, cycles, p, pause_at),
+                    (Self::Sharded(s), None) => s.run_dynamic_until(lambda, dest, cycles, pause_at),
+                    (Self::Sharded(s), Some(p)) => {
+                        s.resume_dynamic(lambda, dest, cycles, p, pause_at)
+                    }
+                }
+                .into()
+            }
+        }
+    }
+
+    /// Restore `text`, which must be a snapshot of `unit` whose progress
+    /// fits `w`, and return where its run stopped.
+    fn restore(
+        &mut self,
+        text: &str,
+        unit: &WorkUnit,
+        w: &Workload,
+    ) -> Result<RunProgress, String> {
+        let theirs = crate::replay::peek_meta(text)?;
+        if theirs != *unit {
+            return Err(format!(
+                "it holds work unit `{}`, not `{}`",
+                theirs.meta_line(),
+                unit.meta_line()
+            ));
+        }
+        let (_, progress) = match self {
+            Self::Seq(s) => s.restore(text),
+            Self::Sharded(s) => s.restore(text),
+        }?;
+        if !w.accepts(&progress) {
+            return Err("its run progress does not fit the work unit's workload".into());
+        }
+        Ok(progress)
+    }
+
+    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
+        match self {
+            Self::Seq(s) => s.checkpoint(meta, progress),
+            Self::Sharded(s) => s.checkpoint(meta, progress),
+        }
+    }
+
+    /// The run's recorder, finished (see [`UnitRecorder::finish`]).
+    fn into_recorder(self, watchdog: Option<u64>) -> Rec {
+        let (mut rec, wd) = match self {
+            Self::Seq(sim) => (sim.into_recorder(), None),
+            Self::Sharded(sim) => {
+                let wd = watchdog.map(|k| {
+                    let mut wd = WatchdogSink::new(k);
+                    wd.report = sim.stall_report().cloned();
+                    wd
+                });
+                (sim.into_recorder(), wd)
+            }
+        };
+        rec.finish(wd);
+        rec
+    }
+}
+
+/// Run `unit` on `eng` to its end under the snapshot policy `snap`:
+/// straight through; or pause at the checkpoint cycle, write the unit's
+/// snapshot and continue in-process; or restore the unit's snapshot and
+/// resume. On resume only a missing file means "this run drained before
+/// the checkpoint cycle" and reruns it from cycle 0 (bit-identical
+/// either way); any other read error, a snapshot the engine cannot
+/// restore, or one of another unit is an error naming the file, as is a
+/// snapshot that cannot be written.
+fn drive<R: Router, Rec: UnitRecorder>(
+    eng: &mut Engine<R, Rec>,
+    unit: &WorkUnit,
+    snap: Option<SnapshotPolicy>,
+) -> Result<Leg, String> {
+    let w = unit.workload();
+    let Some(sp) = snap else {
+        return Ok(eng.leg(&w, unit.cycles, None, None));
+    };
+    let path = sp.path(&unit.label);
+    if sp.resume {
+        let from = match std::fs::read_to_string(&path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => None,
+            Err(e) => return Err(format!("reading snapshot {}: {e}", path.display())),
+            Ok(text) => Some(
+                eng.restore(&text, unit, &w)
+                    .map_err(|e| format!("restoring {}: {e}", path.display()))?,
+            ),
+        };
+        return Ok(eng.leg(&w, unit.cycles, from, None));
+    }
+    match eng.leg(&w, unit.cycles, None, sp.at) {
+        Leg::Paused(progress) => {
+            std::fs::write(&path, eng.checkpoint(&unit.meta_line(), &progress))
+                .map_err(|e| format!("writing snapshot {}: {e}", path.display()))?;
+            Ok(eng.leg(&w, unit.cycles, Some(progress), None))
+        }
+        done => Ok(done),
+    }
+}
+
+/// Run `unit` to its end on the engine `opts.shards` selects, recording
+/// into a `Rec` built from `rc`.
+fn run_unit<Rec: UnitRecorder>(
+    unit: &WorkUnit,
+    opts: &RunOptions,
+    rc: &RecordConfig,
+) -> Result<(Leg, Rec), String> {
+    struct Task<'a, Rec> {
+        unit: &'a WorkUnit,
+        opts: &'a RunOptions,
+        rc: &'a RecordConfig,
+        rec: PhantomData<Rec>,
+    }
+    impl<Rec: UnitRecorder> RouterTask for Task<'_, Rec> {
+        type Output = Result<(Leg, Rec), String>;
+        fn run<R: Router>(self, rf: R) -> Self::Output {
+            let mut eng = Engine::<R, Rec>::new(rf, self.unit, self.opts, self.rc);
+            let leg = drive(&mut eng, self.unit, self.opts.snapshot)?;
+            Ok((leg, eng.into_recorder(self.rc.watchdog)))
+        }
+    }
+    let task = Task {
+        unit,
+        opts,
+        rc,
+        rec: PhantomData,
+    };
+    unit.algo.run(unit.n, task)
+}
+
 /// Measured row of a regenerated table.
 #[derive(Debug, Clone, Copy)]
 pub struct RowResult {
@@ -275,14 +784,24 @@ pub struct RowResult {
     pub aborted: bool,
 }
 
-/// Run one row (one hypercube dimension) of one table on the § 3
-/// fully-adaptive algorithm, averaging over `opts.reps` replications.
-pub fn run_row(spec: TableSpec, n: usize, opts: RunOptions) -> RowResult {
-    let reps = opts.reps.max(1);
-    let results: Vec<RowResult> = (0..reps)
-        .map(|rep| run_row_once(spec, n, opts, u64::from(rep)))
-        .collect();
-    reduce_reps(n, &results)
+impl RowResult {
+    /// The row of one run that ended with `stop`.
+    fn new(n: usize, stats: &LatencyStats, injection_rate: Option<f64>, stop: StopReason) -> Self {
+        Self {
+            n,
+            l_avg: stats.mean(),
+            l_max: stats.max(),
+            injection_rate,
+            aborted: matches!(stop, StopReason::Aborted | StopReason::Partitioned),
+        }
+    }
+}
+
+/// Run one row (one hypercube dimension) of one table, averaging over
+/// `opts.reps` replications.
+/// Fails as [`run_rows`] does.
+pub fn run_row(spec: TableSpec, n: usize, opts: RunOptions) -> Result<RowResult, String> {
+    Ok(run_rows(spec, &[n], opts, 1)?[0])
 }
 
 /// Fold per-replication results into one row. Replications must be in
@@ -318,22 +837,25 @@ fn reduce_reps(n: usize, results: &[RowResult]) -> RowResult {
 /// Run several rows of one table, fanning the `(dimension, replication)`
 /// grid out over `jobs` worker threads.
 ///
-/// Every work unit seeds its RNG streams purely from
-/// `(opts.seed, spec.number, rep, n)`, so results do not depend on which
-/// worker ran them or in what order; the per-row reduction then happens
-/// in fixed rep order on the calling thread. Output is bit-identical to
-/// the sequential `run_row` loop (see `tests/parallel_identity.rs`).
-pub fn run_rows(spec: TableSpec, dims: &[usize], opts: RunOptions, jobs: usize) -> Vec<RowResult> {
-    let reps = opts.reps.max(1) as usize;
-    let units = dims.len() * reps;
-    let results = crate::exec::run_indexed(units, jobs, |i| {
-        run_row_once(spec, dims[i / reps], opts, (i % reps) as u64)
-    });
-    results
-        .chunks(reps)
-        .zip(dims)
-        .map(|(chunk, &n)| reduce_reps(n, chunk))
-        .collect()
+/// Every work unit seeds its RNG streams purely from its coordinates
+/// (see `WorkUnit::row`), so results do not depend on which worker ran
+/// them or in what order; the per-row reduction then happens in fixed
+/// rep order on the calling thread. Output is bit-identical for every
+/// `jobs` (see `tests/parallel_identity.rs`).
+///
+/// # Errors
+///
+/// A snapshot that `opts.snapshot` cannot read, restore or write (see
+/// [`SnapshotPolicy`]); the message names the file. The first failing
+/// unit in grid order wins.
+pub fn run_rows(
+    spec: TableSpec,
+    dims: &[usize],
+    opts: RunOptions,
+    jobs: usize,
+) -> Result<Vec<RowResult>, String> {
+    let rows = run_rows_with::<NoRecorder>(spec, dims, opts, jobs, RecordConfig::default())?;
+    Ok(rows.into_iter().map(|(row, _)| row).collect())
 }
 
 /// One table row with the merged observability sinks of all its
@@ -353,600 +875,88 @@ pub struct RecordedRow {
 /// the per-row merge happens on the calling thread in fixed rep order,
 /// so both the measured rows *and* the merged sinks are bit-identical
 /// for any `jobs` value.
+/// Fails as [`run_rows`] does.
 pub fn run_rows_recorded(
     spec: TableSpec,
     dims: &[usize],
     opts: RunOptions,
     jobs: usize,
     rc: RecordConfig,
-) -> Vec<RecordedRow> {
-    let reps = opts.reps.max(1) as usize;
-    let units = dims.len() * reps;
-    let results = crate::exec::run_indexed(units, jobs, |i| {
-        run_row_once_recorded(spec, dims[i / reps], opts, (i % reps) as u64, rc)
-    });
-    results
-        .chunks(reps)
-        .zip(dims)
-        .map(|(chunk, &n)| {
-            let rows: Vec<RowResult> = chunk.iter().map(|(r, _)| *r).collect();
-            let mut sinks = chunk[0].1.clone();
-            for (_, s) in &chunk[1..] {
-                sinks.merge(s);
-            }
-            RecordedRow {
-                row: reduce_reps(n, &rows),
-                sinks,
-            }
+) -> Result<Vec<RecordedRow>, String> {
+    let rows = run_rows_with::<SinkSet>(spec, dims, opts, jobs, rc)?;
+    Ok(rows
+        .into_iter()
+        .map(|(row, recs)| {
+            let mut recs = recs.into_iter();
+            let mut sinks = recs.next().expect("at least one replication");
+            recs.for_each(|other| sinks.merge(&other));
+            RecordedRow { row, sinks }
         })
-        .collect()
+        .collect())
 }
 
-fn run_row_once(spec: TableSpec, n: usize, opts: RunOptions, rep: u64) -> RowResult {
-    let cfg = row_cfg(spec, n, opts, rep);
-    let label = row_label(spec, n, opts, rep);
-    match opts.algo {
-        Algo::FullyAdaptive => row_with(HypercubeFullyAdaptive::new(n), spec, n, opts, cfg, &label),
-        Algo::StaticHang => row_with(HypercubeStaticHang::new(n), spec, n, opts, cfg, &label),
-        Algo::EcubeSbp => row_with(EcubeSbp::new(n), spec, n, opts, cfg, &label),
-    }
-}
-
-/// The snapshot label of one `(table, n, rep)` work unit (the queue
-/// capacity participates because sweeps vary it with everything else
-/// fixed, and two different configurations must not share a snapshot
-/// file).
-fn row_label(spec: TableSpec, n: usize, opts: RunOptions, rep: u64) -> String {
-    format!("t{}_n{n}_q{}_r{rep}", spec.number, opts.queue_capacity)
-}
-
-/// One unrecorded replication on whichever engine `opts.shards` selects
-/// (the sharded engine is bit-identical, so this is purely a perf knob).
-fn row_with<R>(
-    rf: R,
+/// The rows of [`run_rows`], each with the recorders of its
+/// replications in rep order.
+fn run_rows_with<Rec: UnitRecorder>(
     spec: TableSpec,
-    n: usize,
+    dims: &[usize],
     opts: RunOptions,
-    cfg: SimConfig,
-    label: &str,
-) -> RowResult
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-{
-    let require_drain = opts.faults.is_none();
-    if opts.shards > 1 {
-        let mut sim = ShardedSimulator::with_strategy(rf, cfg, opts.shards, opts.partition);
-        if let Some(plan) = opts.faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        drive_sharded(sim, spec, n, opts, cfg.seed, require_drain, label).0
-    } else {
-        let mut sim = Simulator::new(rf, cfg);
-        if let Some(plan) = opts.faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        drive(sim, spec, n, opts, cfg.seed, require_drain, label).0
-    }
-}
-
-/// The [`SimConfig`] of one `(table, n, rep)` work unit; seeding is a
-/// pure function of those coordinates (see [`run_rows`]).
-fn row_cfg(spec: TableSpec, n: usize, opts: RunOptions, rep: u64) -> SimConfig {
-    SimConfig {
-        queue_capacity: opts.queue_capacity,
-        seed: opts.seed ^ ((spec.number as u64) << 32) ^ (rep << 16) ^ n as u64,
-        ..SimConfig::default()
-    }
-}
-
-/// One replication with recording sinks attached; the recorder shares
-/// the plain path's seeding, so measured rows are bit-identical with
-/// and without recording (`tests/recording.rs` enforces this).
-fn run_row_once_recorded(
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-    rep: u64,
+    jobs: usize,
     rc: RecordConfig,
-) -> (RowResult, SinkSet) {
-    let cfg = row_cfg(spec, n, opts, rep);
-    let label = row_label(spec, n, opts, rep);
-    let (row, mut sinks) = match opts.algo {
-        Algo::FullyAdaptive => recorded_with(
-            HypercubeFullyAdaptive::new(n),
-            spec,
-            n,
-            opts,
-            cfg,
-            rc,
-            &label,
-        ),
-        Algo::StaticHang => {
-            recorded_with(HypercubeStaticHang::new(n), spec, n, opts, cfg, rc, &label)
-        }
-        Algo::EcubeSbp => recorded_with(EcubeSbp::new(n), spec, n, opts, cfg, rc, &label),
-    };
-    sinks.flush();
-    (row, sinks)
+) -> Result<Vec<(RowResult, Vec<Rec>)>, String> {
+    let reps = opts.reps.max(1) as usize;
+    let results = crate::exec::run_indexed(dims.len() * reps, jobs, |i| {
+        let unit = WorkUnit::row(spec, dims[i / reps], (i % reps) as u64, &opts);
+        let (leg, rec) = run_unit::<Rec>(&unit, &opts, &rc)?;
+        let row = match leg {
+            Leg::Static(res) => {
+                // A watchdogged or faulted run may abort instead of
+                // draining; report, don't panic.
+                if rc.watchdog.is_none() && opts.faults.is_none() {
+                    assert!(
+                        res.drained,
+                        "table {} n={} failed to drain",
+                        unit.table, unit.n
+                    );
+                }
+                RowResult::new(unit.n, &res.stats, None, res.stop)
+            }
+            Leg::Dynamic(res) => {
+                RowResult::new(unit.n, &res.stats, Some(res.injection_rate()), res.stop)
+            }
+            Leg::Paused(_) => unreachable!("drive runs every unit to its end"),
+        };
+        Ok((row, rec))
+    });
+    let mut results = results
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?
+        .into_iter();
+    Ok(dims
+        .iter()
+        .map(|&n| {
+            let (rows, recs): (Vec<RowResult>, Vec<Rec>) = results.by_ref().take(reps).unzip();
+            (reduce_reps(n, &rows), recs)
+        })
+        .collect())
 }
 
-/// One recorded replication on whichever engine `opts.shards` selects.
-///
-/// Sharded runs build one watchdog-free [`SinkSet`] per shard (a
-/// per-shard [`WatchdogSink`] would see only its shard's deliveries and
-/// misfire) and move the `--watchdog` window to the sharded engine's
-/// global watchdog; after the run the engine's [`StallReport`], if any,
-/// is re-installed into the merged sink set so downstream reporting
-/// (`obs::report`, metrics JSON) is oblivious to which engine ran.
-#[allow(clippy::too_many_arguments)]
-fn recorded_with<R>(
-    rf: R,
-    spec: TableSpec,
+/// One recorded uniform-random dynamic run at offered load `lambda` on
+/// the `n`-cube — the sweep binary's work unit (`WorkUnit::point`:
+/// router, capacity, horizon and seed from `opts`). Results and sinks
+/// are bit-identical for any `opts.shards`; `opts.snapshot` applies the
+/// checkpoint/resume policy to the point (its meta line records
+/// `table=0` plus λ, which is how `replay` rebuilds the workload).
+/// Fails as [`run_rows`] does.
+pub fn dynamic_random_recorded(
+    lambda: f64,
     n: usize,
     opts: RunOptions,
-    cfg: SimConfig,
     rc: RecordConfig,
-    label: &str,
-) -> (RowResult, SinkSet)
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-{
-    // A watchdogged or faulted run may abort instead of draining;
-    // report, don't panic.
-    let require_drain = rc.watchdog.is_none() && opts.faults.is_none();
-    if opts.shards > 1 {
-        // The wait-for-graph probe is global like the watchdog, but has
-        // no engine-level equivalent; binaries reject `--waitgraph`
-        // with `--shards > 1`, and this strip keeps the per-shard sets
-        // shardable if a caller slips one through.
-        let shard_rc = RecordConfig {
-            watchdog: None,
-            waitgraph: false,
-            ..rc
-        };
-        let classes = rf.num_classes();
-        let mut sim =
-            ShardedSimulator::with_recorders_strategy(rf, cfg, opts.shards, opts.partition, |_| {
-                shard_rc.build(1 << n, classes)
-            });
-        if let Some(plan) = opts.faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        if let Some(k) = rc.watchdog {
-            sim = sim.with_watchdog(k);
-        }
-        let (row, stall, mut sinks) =
-            drive_sharded(sim, spec, n, opts, cfg.seed, require_drain, label);
-        if let Some(k) = rc.watchdog {
-            let mut wd = WatchdogSink::new(k);
-            wd.report = stall;
-            sinks.watchdog = Some(wd);
-        }
-        (row, sinks)
-    } else {
-        let sinks = rc.build(1 << n, rf.num_classes());
-        let mut sim = Simulator::with_recorder(rf, cfg, sinks);
-        if let Some(plan) = opts.faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        drive(sim, spec, n, opts, cfg.seed, require_drain, label)
-    }
-}
-
-/// Write one snapshot file, failing loudly: a checkpoint the resume leg
-/// can't find would silently degrade to a from-scratch rerun.
-fn write_snapshot(sp: &SnapshotPolicy, label: &str, text: &str) {
-    let path = sp.path(label);
-    std::fs::write(&path, text)
-        .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
-}
-
-/// Unwrap an outcome that cannot be `Paused` (no pause was requested on
-/// the final leg of any checkpoint/resume sequence).
-fn ran_out(outcome: StaticOutcome) -> StaticResult {
-    match outcome {
-        StaticOutcome::Finished(res) => res,
-        StaticOutcome::Paused(_) => unreachable!("no pause requested"),
-    }
-}
-
-/// [`ran_out`] for dynamic runs.
-fn ran_out_dyn(outcome: DynamicOutcome) -> DynamicResult {
-    match outcome {
-        DynamicOutcome::Finished(res) => res,
-        DynamicOutcome::Paused(_) => unreachable!("no pause requested"),
-    }
-}
-
-/// `run_static` under a [`SnapshotPolicy`]: checkpoint mid-run and
-/// continue in-process, or restore and resume. A missing snapshot on
-/// resume means the run drained before the checkpoint cycle — rerun
-/// from cycle 0 (bit-identical either way).
-fn static_run<R: RoutingFunction, Rec: Recorder>(
-    sim: &mut Simulator<R, Rec>,
-    backlog: &[Vec<usize>],
-    snap: Option<SnapshotPolicy>,
-    meta: &str,
-    label: &str,
-) -> StaticResult
-where
-    R::Msg: SnapshotMsg,
-{
-    let Some(sp) = snap else {
-        return sim.run_static(backlog);
-    };
-    if sp.resume {
-        let path = sp.path(label);
-        return match std::fs::read_to_string(&path) {
-            Err(_) => sim.run_static(backlog),
-            Ok(text) => {
-                let (_, progress) = sim
-                    .restore(&text)
-                    .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-                ran_out(sim.resume_static(backlog, progress, None))
-            }
-        };
-    }
-    match sim.run_static_until(backlog, sp.at) {
-        StaticOutcome::Finished(res) => res,
-        StaticOutcome::Paused(progress) => {
-            write_snapshot(&sp, label, &sim.checkpoint(meta, &progress));
-            ran_out(sim.resume_static(backlog, progress, None))
-        }
-    }
-}
-
-/// [`static_run`] on the sharded engine (same protocol; snapshots are
-/// partition-agnostic, so checkpoint and resume legs may run on
-/// different engines or shard counts).
-fn static_run_sharded<R, Rec>(
-    sim: &mut ShardedSimulator<R, Rec>,
-    backlog: &[Vec<usize>],
-    snap: Option<SnapshotPolicy>,
-    meta: &str,
-    label: &str,
-) -> StaticResult
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-    Rec: ShardRecorder + Send,
-{
-    let Some(sp) = snap else {
-        return sim.run_static(backlog);
-    };
-    if sp.resume {
-        let path = sp.path(label);
-        return match std::fs::read_to_string(&path) {
-            Err(_) => sim.run_static(backlog),
-            Ok(text) => {
-                let (_, progress) = sim
-                    .restore(&text)
-                    .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-                ran_out(sim.resume_static(backlog, progress, None))
-            }
-        };
-    }
-    match sim.run_static_until(backlog, sp.at) {
-        StaticOutcome::Finished(res) => res,
-        StaticOutcome::Paused(progress) => {
-            write_snapshot(&sp, label, &sim.checkpoint(meta, &progress));
-            ran_out(sim.resume_static(backlog, progress, None))
-        }
-    }
-}
-
-/// `run_dynamic` under a [`SnapshotPolicy`] (see [`static_run`]).
-fn dynamic_run<R: RoutingFunction, Rec: Recorder, F>(
-    sim: &mut Simulator<R, Rec>,
-    lambda: f64,
-    mut dest: F,
-    cycles: u64,
-    snap: Option<SnapshotPolicy>,
-    meta: &str,
-    label: &str,
-) -> DynamicResult
-where
-    R::Msg: SnapshotMsg,
-    F: FnMut(usize, &mut StdRng) -> usize,
-{
-    let Some(sp) = snap else {
-        return sim.run_dynamic(lambda, dest, cycles);
-    };
-    if sp.resume {
-        let path = sp.path(label);
-        return match std::fs::read_to_string(&path) {
-            Err(_) => sim.run_dynamic(lambda, dest, cycles),
-            Ok(text) => {
-                let (_, progress) = sim
-                    .restore(&text)
-                    .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-                ran_out_dyn(sim.resume_dynamic(lambda, dest, cycles, progress, None))
-            }
-        };
-    }
-    match sim.run_dynamic_until(lambda, &mut dest, cycles, sp.at) {
-        DynamicOutcome::Finished(res) => res,
-        DynamicOutcome::Paused(progress) => {
-            write_snapshot(&sp, label, &sim.checkpoint(meta, &progress));
-            ran_out_dyn(sim.resume_dynamic(lambda, dest, cycles, progress, None))
-        }
-    }
-}
-
-/// [`dynamic_run`] on the sharded engine.
-#[allow(clippy::too_many_arguments)]
-fn dynamic_run_sharded<R, Rec, F>(
-    sim: &mut ShardedSimulator<R, Rec>,
-    lambda: f64,
-    dest: F,
-    cycles: u64,
-    snap: Option<SnapshotPolicy>,
-    meta: &str,
-    label: &str,
-) -> DynamicResult
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-    Rec: ShardRecorder + Send,
-    F: Fn(usize, &mut StdRng) -> usize + Sync,
-{
-    let Some(sp) = snap else {
-        return sim.run_dynamic(lambda, dest, cycles);
-    };
-    if sp.resume {
-        let path = sp.path(label);
-        return match std::fs::read_to_string(&path) {
-            Err(_) => sim.run_dynamic(lambda, dest, cycles),
-            Ok(text) => {
-                let (_, progress) = sim
-                    .restore(&text)
-                    .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-                ran_out_dyn(sim.resume_dynamic(lambda, dest, cycles, progress, None))
-            }
-        };
-    }
-    match sim.run_dynamic_until(lambda, &dest, cycles, sp.at) {
-        DynamicOutcome::Finished(res) => res,
-        DynamicOutcome::Paused(progress) => {
-            write_snapshot(&sp, label, &sim.checkpoint(meta, &progress));
-            ran_out_dyn(sim.resume_dynamic(lambda, dest, cycles, progress, None))
-        }
-    }
-}
-
-fn drive<R: RoutingFunction, Rec: Recorder>(
-    mut sim: Simulator<R, Rec>,
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-    seed: u64,
-    require_drain: bool,
-    label: &str,
-) -> (RowResult, Rec)
-where
-    R::Msg: SnapshotMsg,
-{
-    let size = 1usize << n;
-    let pattern = spec.pattern.compile(n, seed ^ 0x1e7e1);
-    let meta = crate::replay::meta_line(
-        label,
-        opts.algo,
-        spec.number,
-        n,
-        opts.queue_capacity,
-        opts.dynamic_cycles,
-        seed,
-        None,
-    );
-    let row = match spec.packets {
-        Some(per_node) => {
-            let k = match per_node {
-                PacketsPerNode::One => 1,
-                PacketsPerNode::LogN => n,
-            };
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xbac1);
-            let backlog = static_backlog(&pattern, size, k, &mut rng);
-            let res = static_run(&mut sim, &backlog, opts.snapshot, &meta, label);
-            if require_drain {
-                assert!(res.drained, "table {} n={n} failed to drain", spec.number);
-            }
-            RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: None,
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            }
-        }
-        None => {
-            let res = dynamic_run(
-                &mut sim,
-                1.0,
-                move |s, rng| pattern.draw(s, size, rng),
-                opts.dynamic_cycles,
-                opts.snapshot,
-                &meta,
-                label,
-            );
-            RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: Some(res.injection_rate()),
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            }
-        }
-    };
-    (row, sim.into_recorder())
-}
-
-/// [`drive`] on the sharded engine: identical workload construction and
-/// row extraction, so rows are bit-identical to the sequential path for
-/// any shard count (`tests/sharded_identity.rs` enforces this over all
-/// twelve tables). Also returns the engine watchdog's stall report so
-/// the recorded path can surface it.
-#[allow(clippy::too_many_arguments)]
-fn drive_sharded<R, Rec>(
-    mut sim: ShardedSimulator<R, Rec>,
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-    seed: u64,
-    require_drain: bool,
-    label: &str,
-) -> (RowResult, Option<StallReport>, Rec)
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-    Rec: ShardRecorder + Send,
-{
-    let size = 1usize << n;
-    let pattern = spec.pattern.compile(n, seed ^ 0x1e7e1);
-    let meta = crate::replay::meta_line(
-        label,
-        opts.algo,
-        spec.number,
-        n,
-        opts.queue_capacity,
-        opts.dynamic_cycles,
-        seed,
-        None,
-    );
-    let row = match spec.packets {
-        Some(per_node) => {
-            let k = match per_node {
-                PacketsPerNode::One => 1,
-                PacketsPerNode::LogN => n,
-            };
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xbac1);
-            let backlog = static_backlog(&pattern, size, k, &mut rng);
-            let res = static_run_sharded(&mut sim, &backlog, opts.snapshot, &meta, label);
-            if require_drain {
-                assert!(res.drained, "table {} n={n} failed to drain", spec.number);
-            }
-            RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: None,
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            }
-        }
-        None => {
-            let res = dynamic_run_sharded(
-                &mut sim,
-                1.0,
-                move |s, rng| pattern.draw(s, size, rng),
-                opts.dynamic_cycles,
-                opts.snapshot,
-                &meta,
-                label,
-            );
-            RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: Some(res.injection_rate()),
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            }
-        }
-    };
-    let stall = sim.stall_report().cloned();
-    (row, stall, sim.into_recorder())
-}
-
-/// One recorded dynamic run with uniform-random destinations on
-/// whichever engine `shards` selects — the sweep binary's work unit.
-/// Results and sinks are bit-identical for any `shards` value; the
-/// watchdog handling matches `recorded_with` (per-shard sink sets carry
-/// no watchdog, the engine-level one's stall report is re-installed
-/// into the merged set). `snap`/`label` apply the checkpoint/resume
-/// policy to this point, with a sweep-supplied file-safe label (the
-/// snapshot's meta records `table=0` plus the injection rate, which is
-/// how `replay` knows to rebuild a uniform-random workload).
-#[allow(clippy::too_many_arguments)]
-pub fn dynamic_random_recorded<R>(
-    rf: R,
-    algo: Algo,
-    cfg: SimConfig,
-    lambda: f64,
-    cycles: u64,
-    rc: RecordConfig,
-    shards: usize,
-    partition: PartitionStrategy,
-    faults: Option<&fadr_sim::FaultPlan>,
-    snap: Option<SnapshotPolicy>,
-    label: &str,
-) -> (DynamicResult, SinkSet)
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-{
-    let size = rf.topology().num_nodes();
-    let classes = rf.num_classes();
-    let n = size.trailing_zeros() as usize;
-    let meta = crate::replay::meta_line(
-        label,
-        algo,
-        0,
-        n,
-        cfg.queue_capacity,
-        cycles,
-        cfg.seed,
-        Some(lambda),
-    );
-    if shards > 1 {
-        let shard_rc = RecordConfig {
-            watchdog: None,
-            waitgraph: false,
-            ..rc
-        };
-        let mut sim = ShardedSimulator::with_recorders_strategy(rf, cfg, shards, partition, |_| {
-            shard_rc.build(size, classes)
-        });
-        if let Some(plan) = faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        if let Some(k) = rc.watchdog {
-            sim = sim.with_watchdog(k);
-        }
-        let res = dynamic_run_sharded(
-            &mut sim,
-            lambda,
-            move |s, rng| Pattern::Random.draw(s, size, rng),
-            cycles,
-            snap,
-            &meta,
-            label,
-        );
-        let stall = sim.stall_report().cloned();
-        let mut sinks = sim.into_recorder();
-        if let Some(k) = rc.watchdog {
-            let mut wd = WatchdogSink::new(k);
-            wd.report = stall;
-            sinks.watchdog = Some(wd);
-        }
-        sinks.flush();
-        (res, sinks)
-    } else {
-        let mut sim = Simulator::with_recorder(rf, cfg, rc.build(size, classes));
-        if let Some(plan) = faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        let res = dynamic_run(
-            &mut sim,
-            lambda,
-            move |s, rng| Pattern::Random.draw(s, size, rng),
-            cycles,
-            snap,
-            &meta,
-            label,
-        );
-        let mut sinks = sim.into_recorder();
-        sinks.flush();
-        (res, sinks)
+) -> Result<(DynamicResult, SinkSet), String> {
+    match run_unit::<SinkSet>(&WorkUnit::point(lambda, n, &opts), &opts, &rc)? {
+        (Leg::Dynamic(res), sinks) => Ok((res, sinks)),
+        _ => unreachable!("a sweep point is a dynamic run, driven to its end"),
     }
 }
 
@@ -954,12 +964,11 @@ where
 /// replications run as lanes of one [`LaneSim`] sharing a single
 /// precomputed routing table, instead of `reps` standalone simulators.
 ///
-/// Lane `rep` uses exactly the seeds [`run_row`]'s replication `rep`
-/// would (engine streams from [`row_cfg`], pattern compile from
-/// `seed ^ 0x1e7e1`, static backlog from `seed ^ 0xbac1`), and the lane
-/// engine guarantees each lane is bit-identical to a standalone
-/// sequential run with that seed — so the reduced row is bit-identical
-/// to [`run_row`]'s (`tests/lane_identity.rs` enforces this).
+/// Lane `rep` takes the seed and the workload of the row's replication
+/// `rep` (`WorkUnit::row`), and the lane engine guarantees each lane
+/// is bit-identical to a standalone sequential run with that seed — so
+/// the reduced row is bit-identical to [`run_row`]'s
+/// (`tests/lane_identity.rs` enforces this).
 ///
 /// # Panics
 ///
@@ -967,15 +976,57 @@ where
 /// engine batches clean replications only (binaries reject those flag
 /// combinations up front; this is the backstop).
 pub fn run_row_lanes(spec: TableSpec, n: usize, opts: RunOptions) -> RowResult {
+    struct Task<'a>(&'a [WorkUnit]);
+    impl RouterTask for Task<'_> {
+        type Output = Vec<RowResult>;
+        fn run<R: Router>(self, rf: R) -> Vec<RowResult> {
+            let units = self.0;
+            let (table, n, cycles) = (units[0].table, units[0].n, units[0].cycles);
+            let seeds = units.iter().map(|u| u.seed).collect();
+            let mut sim = LaneSim::with_lane_seeds(rf, units[0].config(), seeds);
+            let (mut backlogs, mut patterns, mut rate) = (Vec::new(), Vec::new(), None);
+            for w in units.iter().map(WorkUnit::workload) {
+                match w {
+                    Workload::Backlog(b) => backlogs.push(b),
+                    Workload::Dynamic {
+                        lambda,
+                        pattern,
+                        nodes,
+                    } => {
+                        rate = Some((lambda, nodes));
+                        patterns.push(pattern);
+                    }
+                }
+            }
+            match rate {
+                None => sim
+                    .run_static(&backlogs)
+                    .iter()
+                    .map(|res| {
+                        assert!(res.drained, "table {table} n={n} failed to drain");
+                        RowResult::new(n, &res.stats, None, res.stop)
+                    })
+                    .collect(),
+                Some((lambda, nodes)) => sim
+                    .run_dynamic_indexed(
+                        lambda,
+                        |lane, src, rng| patterns[lane].draw(src, nodes, rng),
+                        cycles,
+                    )
+                    .iter()
+                    .map(|res| RowResult::new(n, &res.stats, Some(res.injection_rate()), res.stop))
+                    .collect(),
+            }
+        }
+    }
     assert!(
         opts.shards <= 1 && opts.faults.is_none() && opts.snapshot.is_none(),
         "lane-batched rows support neither shards, faults, nor checkpoints"
     );
-    match opts.algo {
-        Algo::FullyAdaptive => row_lanes_with(HypercubeFullyAdaptive::new(n), spec, n, opts),
-        Algo::StaticHang => row_lanes_with(HypercubeStaticHang::new(n), spec, n, opts),
-        Algo::EcubeSbp => row_lanes_with(EcubeSbp::new(n), spec, n, opts),
-    }
+    let units: Vec<WorkUnit> = (0..u64::from(opts.reps.max(1)))
+        .map(|rep| WorkUnit::row(spec, n, rep, &opts))
+        .collect();
+    reduce_reps(n, &opts.algo.run(n, Task(&units)))
 }
 
 /// [`run_rows`] on the lane engine: rows fan out over `jobs` worker
@@ -988,71 +1039,6 @@ pub fn run_rows_lanes(
     jobs: usize,
 ) -> Vec<RowResult> {
     crate::exec::run_indexed(dims.len(), jobs, |i| run_row_lanes(spec, dims[i], opts))
-}
-
-fn row_lanes_with<R: RoutingFunction>(
-    rf: R,
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-) -> RowResult {
-    let reps = opts.reps.max(1);
-    let seeds: Vec<u64> = (0..reps)
-        .map(|rep| row_cfg(spec, n, opts, u64::from(rep)).seed)
-        .collect();
-    let cfg = row_cfg(spec, n, opts, 0);
-    let size = 1usize << n;
-    let mut sim = LaneSim::with_lane_seeds(rf, cfg, seeds.clone());
-    let results: Vec<RowResult> = match spec.packets {
-        Some(per_node) => {
-            let k = match per_node {
-                PacketsPerNode::One => 1,
-                PacketsPerNode::LogN => n,
-            };
-            let backlogs: Vec<Vec<Vec<usize>>> = seeds
-                .iter()
-                .map(|&s| {
-                    let pattern = spec.pattern.compile(n, s ^ 0x1e7e1);
-                    let mut rng = StdRng::seed_from_u64(s ^ 0xbac1);
-                    static_backlog(&pattern, size, k, &mut rng)
-                })
-                .collect();
-            sim.run_static(&backlogs)
-                .iter()
-                .map(|res| {
-                    assert!(res.drained, "table {} n={n} failed to drain", spec.number);
-                    RowResult {
-                        n,
-                        l_avg: res.stats.mean(),
-                        l_max: res.stats.max(),
-                        injection_rate: None,
-                        aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-                    }
-                })
-                .collect()
-        }
-        None => {
-            let patterns: Vec<Pattern> = seeds
-                .iter()
-                .map(|&s| spec.pattern.compile(n, s ^ 0x1e7e1))
-                .collect();
-            sim.run_dynamic_indexed(
-                1.0,
-                |lane, src, rng| patterns[lane].draw(src, size, rng),
-                opts.dynamic_cycles,
-            )
-            .iter()
-            .map(|res| RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: Some(res.injection_rate()),
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            })
-            .collect()
-        }
-    };
-    reduce_reps(n, &results)
 }
 
 /// One lane-batched sweep point: per-lane aggregates folded into
@@ -1109,6 +1095,41 @@ pub fn dynamic_random_lanes<R: RoutingFunction>(
     }
 }
 
+/// The lane-batched λ sweep of one router, run router-major: one
+/// [`LaneSim`] of `lanes` lanes (per-lane seeds split from the default
+/// seed) — and with it the routing-state table, the engine's one
+/// expensive set-up — runs every λ of `lambdas` in order, each point as
+/// [`dynamic_random_lanes`].
+pub fn lane_sweep(
+    algo: Algo,
+    n: usize,
+    lambdas: &[f64],
+    cycles: u64,
+    lanes: usize,
+) -> Vec<LanePoint> {
+    struct Task<'a> {
+        lambdas: &'a [f64],
+        cycles: u64,
+        lanes: usize,
+    }
+    impl RouterTask for Task<'_> {
+        type Output = Vec<LanePoint>;
+        fn run<R: Router>(self, rf: R) -> Vec<LanePoint> {
+            let mut sim = LaneSim::new(rf, SimConfig::default(), self.lanes);
+            self.lambdas
+                .iter()
+                .map(|&lambda| dynamic_random_lanes(&mut sim, lambda, self.cycles))
+                .collect()
+        }
+    }
+    let task = Task {
+        lambdas,
+        cycles,
+        lanes,
+    };
+    algo.run(n, task)
+}
+
 /// Dimensions a table covers: the paper's full sweep or a reduced default.
 pub fn dims_for(spec: TableSpec, full: bool) -> Vec<usize> {
     let base: Vec<usize> = if spec.number == 12 {
@@ -1125,39 +1146,37 @@ pub fn dims_for(spec: TableSpec, full: bool) -> Vec<usize> {
     base
 }
 
-/// Regenerate one table sequentially. Equivalent to
-/// [`run_table_jobs`] with `jobs = 1`.
-pub fn run_table(number: usize, full: bool, opts: RunOptions) -> Table {
-    run_table_jobs(number, full, opts, 1)
-}
-
-/// Regenerate one table with row × replication work units spread over
-/// `jobs` worker threads. Output is bit-identical for every `jobs`.
-pub fn run_table_jobs(number: usize, full: bool, opts: RunOptions, jobs: usize) -> Table {
-    run_table_dims(number, &dims_for(spec(number), full), opts, jobs)
-}
-
 /// Regenerate one table over an explicit dimension list, returning a
 /// rendered [`Table`] with measured and paper reference columns side by
 /// side. The dims override exists so tests and sweeps can run the full
 /// table pipeline at reduced scale.
-pub fn run_table_dims(number: usize, dims: &[usize], opts: RunOptions, jobs: usize) -> Table {
-    render_table(number, &run_rows(spec(number), dims, opts, jobs))
+/// Fails as [`run_rows`] does.
+pub fn run_table_dims(
+    number: usize,
+    dims: &[usize],
+    opts: RunOptions,
+    jobs: usize,
+) -> Result<Table, String> {
+    Ok(render_table(
+        number,
+        &run_rows(spec(number), dims, opts, jobs)?,
+    ))
 }
 
 /// [`run_table_dims`] with recording: returns the rendered table plus
 /// each row's merged sinks for JSON export. The rendered table is
 /// bit-identical to the unrecorded one.
+/// Fails as [`run_rows`] does.
 pub fn run_table_dims_recorded(
     number: usize,
     dims: &[usize],
     opts: RunOptions,
     jobs: usize,
     rc: RecordConfig,
-) -> (Table, Vec<RecordedRow>) {
-    let recorded = run_rows_recorded(spec(number), dims, opts, jobs, rc);
+) -> Result<(Table, Vec<RecordedRow>), String> {
+    let recorded = run_rows_recorded(spec(number), dims, opts, jobs, rc)?;
     let rows: Vec<RowResult> = recorded.iter().map(|r| r.row).collect();
-    (render_table(number, &rows), recorded)
+    Ok((render_table(number, &rows), recorded))
 }
 
 /// Render measured rows of table `number` next to the paper's reference
@@ -1257,7 +1276,7 @@ mod tests {
             pattern: PatternKind::Complement,
             packets: Some(PacketsPerNode::One),
         };
-        let r = run_row(s, 6, RunOptions::default());
+        let r = run_row(s, 6, RunOptions::default()).unwrap();
         assert_eq!(r.l_max, 13);
         assert!((r.l_avg - 13.0).abs() < 1e-9);
     }
@@ -1273,7 +1292,7 @@ mod tests {
             dynamic_cycles: 100,
             ..RunOptions::default()
         };
-        let r = run_row(s, 6, opts);
+        let r = run_row(s, 6, opts).unwrap();
         assert!(r.injection_rate.unwrap() > 0.5);
         assert!(r.l_avg > 0.0);
     }

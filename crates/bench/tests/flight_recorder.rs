@@ -5,7 +5,9 @@
 
 use fadr_bench::obs::{metrics_json, MetricsRow, RecordConfig};
 use fadr_bench::replay::{first_divergence, journal_window, replay, ReplayOptions};
-use fadr_bench::runner::{run_rows, run_rows_recorded, spec, RunOptions, SnapshotPolicy};
+use fadr_bench::runner::{
+    dynamic_random_recorded, run_rows, run_rows_recorded, spec, RunOptions, SnapshotPolicy,
+};
 use fadr_sim::PartitionStrategy;
 
 fn journal_config() -> RecordConfig {
@@ -40,7 +42,7 @@ fn journal_is_bit_identical_across_jobs_shards_and_partitions() {
             ..RunOptions::default()
         };
         let fingerprint = |o: RunOptions, jobs: usize| {
-            let recorded = run_rows_recorded(spec(table), &[5], o, jobs, journal_config());
+            let recorded = run_rows_recorded(spec(table), &[5], o, jobs, journal_config()).unwrap();
             let j = recorded[0].sinks.journal.as_ref().expect("journal sink");
             (j.count(), j.hash(), j.lines())
         };
@@ -74,14 +76,17 @@ fn journal_is_bit_identical_across_jobs_shards_and_partitions() {
 /// A run split by `--checkpoint-at` + `--resume-from` must reproduce an
 /// uninterrupted run bit for bit — measured rows and journal — on the
 /// sequential engine and on sharded engines under different partition
-/// strategies (the ISSUE's tentpole acceptance property, exercised
-/// through the same [`RunOptions`] path the binaries use).
+/// strategies, also when the resume leg runs on another shard count than
+/// the checkpoint leg (exercised through the same [`RunOptions`] path the
+/// binaries use).
 #[test]
 fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
-    for (tag, shards, partition) in [
-        ("seq", 1usize, PartitionStrategy::Auto),
-        ("sh2", 2, PartitionStrategy::HammingPrefix),
-        ("sh3", 3, PartitionStrategy::BfsGrowth),
+    for (tag, shards, resume_shards, partition) in [
+        ("seq", 1usize, 1usize, PartitionStrategy::Auto),
+        ("sh2", 2, 2, PartitionStrategy::HammingPrefix),
+        ("sh3", 3, 3, PartitionStrategy::BfsGrowth),
+        ("1to3", 1, 3, PartitionStrategy::BfsGrowth),
+        ("3to1", 3, 1, PartitionStrategy::Auto),
     ] {
         for table in [6usize, 9] {
             let base = RunOptions {
@@ -90,14 +95,15 @@ fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
                 partition,
                 ..RunOptions::default()
             };
-            let straight = run_rows_recorded(spec(table), &[5], base, 1, journal_config());
+            let straight = run_rows_recorded(spec(table), &[5], base, 1, journal_config()).unwrap();
 
             let dir_tag = format!("split_{tag}_t{table}");
             let ckpt = RunOptions {
                 snapshot: Some(temp_policy(&dir_tag, Some(5), false)),
                 ..base
             };
-            let checkpointed = run_rows_recorded(spec(table), &[5], ckpt, 1, journal_config());
+            let checkpointed =
+                run_rows_recorded(spec(table), &[5], ckpt, 1, journal_config()).unwrap();
             let snap_path = ckpt.snapshot.unwrap().path(&format!("t{table}_n5_q5_r0"));
             assert!(
                 snap_path.exists(),
@@ -107,9 +113,11 @@ fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
 
             let resume = RunOptions {
                 snapshot: Some(temp_policy(&dir_tag, None, true)),
+                shards: resume_shards,
                 ..base
             };
-            let resumed = run_rows_recorded(spec(table), &[5], resume, 1, journal_config());
+            let resumed =
+                run_rows_recorded(spec(table), &[5], resume, 1, journal_config()).unwrap();
 
             for (name, other) in [("checkpoint", &checkpointed), ("resume", &resumed)] {
                 let a = &straight[0].row;
@@ -161,7 +169,7 @@ fn replay_reproduces_the_reference_journal() {
         snapshot: Some(sp),
         ..RunOptions::default()
     };
-    let recorded = run_rows_recorded(spec(6), &[5], opts, 1, journal_config());
+    let recorded = run_rows_recorded(spec(6), &[5], opts, 1, journal_config()).unwrap();
     let reference = recorded[0].sinks.journal.as_ref().unwrap().lines();
 
     let text = std::fs::read_to_string(sp.path("t6_n5_q5_r0")).unwrap();
@@ -204,7 +212,7 @@ fn wedge_checkpoint_replays_to_a_deadlock_verdict() {
         watchdog: Some(200),
         ..RecordConfig::default()
     };
-    let recorded = run_rows_recorded(spec(2), &[4], opts, 1, rc);
+    let recorded = run_rows_recorded(spec(2), &[4], opts, 1, rc).unwrap();
     assert!(
         recorded[0].sinks.stall().is_some(),
         "original run must stall"
@@ -236,7 +244,7 @@ fn metrics_json_carries_latency_percentiles_and_waitgraph() {
         waitgraph: true,
         ..RecordConfig::default()
     };
-    let recorded = run_rows_recorded(spec(6), &[5], RunOptions::default(), 1, rc);
+    let recorded = run_rows_recorded(spec(6), &[5], RunOptions::default(), 1, rc).unwrap();
     let lat = recorded[0].sinks.latency.as_ref().expect("latency sink");
     let json = lat.to_json();
     assert!(json.contains("\"p50\":") && json.contains("\"p95\":") && json.contains("\"p99\":"));
@@ -264,22 +272,83 @@ fn metrics_json_carries_latency_percentiles_and_waitgraph() {
 #[test]
 fn resume_reruns_rows_that_finished_before_the_checkpoint() {
     let base = RunOptions::default();
-    let straight = run_rows(spec(1), &[5], base, 1);
+    let straight = run_rows(spec(1), &[5], base, 1).unwrap();
     let ckpt = RunOptions {
         // Table 1 (one packet per node) drains n=5 long before cycle
         // 10_000, so the pause never fires and no snapshot appears.
         snapshot: Some(temp_policy("norun", Some(10_000), false)),
         ..base
     };
-    let checkpointed = run_rows(spec(1), &[5], ckpt, 1);
+    let checkpointed = run_rows(spec(1), &[5], ckpt, 1).unwrap();
     assert!(!ckpt.snapshot.unwrap().path("t1_n5_q5_r0").exists());
     let resume = RunOptions {
         snapshot: Some(temp_policy("norun", None, true)),
         ..base
     };
-    let resumed = run_rows(spec(1), &[5], resume, 1);
+    let resumed = run_rows(spec(1), &[5], resume, 1).unwrap();
     for other in [&checkpointed, &resumed] {
         assert_eq!(straight[0].l_avg.to_bits(), other[0].l_avg.to_bits());
         assert_eq!(straight[0].l_max, other[0].l_max);
     }
+}
+
+/// A sweep point (a uniform-random dynamic run at λ ≠ 1) under a
+/// checkpoint/resume split reproduces the straight run, also when it
+/// resumes on another shard count; `replay` of its snapshot regenerates
+/// the reference journal, and only because it reads λ from the
+/// snapshot's meta line: the same snapshot claiming λ = 1 diverges.
+#[test]
+fn sweep_point_checkpoint_resumes_and_replays() {
+    let lambda = 0.4;
+    let base = RunOptions {
+        dynamic_cycles: 60,
+        ..RunOptions::default()
+    };
+    let run = |o: RunOptions| dynamic_random_recorded(lambda, 5, o, journal_config()).unwrap();
+    let (straight, sinks) = run(base);
+    let reference = sinks.journal.as_ref().expect("journal sink").lines();
+    let sp = temp_policy("sweep_point", Some(5), false);
+    let checkpointed = run(RunOptions {
+        snapshot: Some(sp),
+        ..base
+    });
+    let resumed = run(RunOptions {
+        snapshot: Some(temp_policy("sweep_point", None, true)),
+        shards: 3,
+        ..base
+    });
+    for (name, (res, sinks)) in [("checkpoint", &checkpointed), ("resume", &resumed)] {
+        assert_eq!(
+            (res.delivered, res.stats.mean().to_bits(), res.stats.max()),
+            (
+                straight.delivered,
+                straight.stats.mean().to_bits(),
+                straight.stats.max()
+            ),
+            "{name} leg differs"
+        );
+        let lines = sinks.journal.as_ref().expect("journal sink").lines();
+        let want = if name == "resume" {
+            journal_window(&reference, 5, None)
+        } else {
+            reference.clone()
+        };
+        assert_eq!(lines, want, "{name} leg journal differs");
+    }
+
+    let text = std::fs::read_to_string(sp.path("lambda0.4_fully-adaptive")).unwrap();
+    let out = replay(&text, &ReplayOptions::default()).expect("replay");
+    assert_eq!((out.start_cycle, out.meta.table), (5, 0));
+    assert_eq!(out.meta.lambda, Some(lambda));
+    let want = journal_window(&reference, out.start_cycle, Some(out.end_cycle));
+    assert!(!want.is_empty(), "the replayed window must hold events");
+    assert_eq!(first_divergence(&out.journal.lines(), &want), None);
+
+    let at_one = text.replacen(" lambda=0.4", " lambda=1", 1);
+    assert_ne!(at_one, text);
+    let out = replay(&at_one, &ReplayOptions::default()).expect("replay");
+    assert!(
+        first_divergence(&out.journal.lines(), &want).is_some(),
+        "a replay at λ = 1 must not reproduce the λ = 0.4 journal"
+    );
 }

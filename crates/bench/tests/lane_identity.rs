@@ -34,7 +34,7 @@ fn run_row_lanes_bitwise_identical_to_run_row() {
     for t in TABLES {
         let s = spec(t);
         for &n in &DIMS {
-            let seq = run_row(s, n, opts());
+            let seq = run_row(s, n, opts()).unwrap();
             let lane = run_row_lanes(s, n, opts());
             assert_eq!(lane.n, seq.n, "table {t} n={n}");
             assert_eq!(lane.l_max, seq.l_max, "table {t} n={n}");
@@ -60,7 +60,7 @@ fn run_row_lanes_bitwise_identical_to_run_row() {
 #[test]
 fn run_rows_lanes_matches_run_rows_across_jobs() {
     let s = spec(9);
-    let base = run_rows(s, &DIMS, opts(), 1);
+    let base = run_rows(s, &DIMS, opts(), 1).unwrap();
     for jobs in [1usize, 4] {
         let lanes = run_rows_lanes(s, &DIMS, opts(), jobs);
         assert_eq!(lanes.len(), base.len());
@@ -82,7 +82,7 @@ fn custom_seed_and_reps_reproduce() {
         ..RunOptions::default()
     };
     for t in [6usize, 9] {
-        let seq = run_row(spec(t), 5, custom);
+        let seq = run_row(spec(t), 5, custom).unwrap();
         let lane = run_row_lanes(spec(t), 5, custom);
         assert_eq!(lane.l_avg.to_bits(), seq.l_avg.to_bits(), "table {t}");
         assert_eq!(lane.l_max, seq.l_max, "table {t}");
