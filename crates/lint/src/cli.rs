@@ -14,6 +14,7 @@
 //! With `--expect ID...` the polarity flips to corpus mode: exit 0 iff
 //! every expected lint fired (the fail-closed negative-corpus check).
 
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -23,6 +24,7 @@ use fadr_core::{
 };
 use fadr_qdg::sym::Symmetry;
 use fadr_sim::FaultPlan;
+use fadr_topology::{Hypercube, Mesh2D, ShuffleExchange, Torus2D};
 
 use crate::{lint_all, LintConfig, LintId, Report, ALL_LINTS};
 
@@ -109,6 +111,41 @@ fn parse_num(s: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("not a number: {s}"))
 }
 
+/// Refuse a size outside the `--family` constructor's own range before
+/// the constructor runs (it would panic); the error names the range.
+/// Unknown families pass, for the dispatch to name. Shared with the
+/// `certify` front end, which takes the same family flags.
+pub fn check_size(family: &str, n: usize, width: usize, height: usize) -> Result<(), String> {
+    let dims = |range: RangeInclusive<usize>| {
+        if range.contains(&n) {
+            Ok(())
+        } else {
+            Err(format!(
+                "--family {family} needs --n in {}..={}, got {n}",
+                range.start(),
+                range.end()
+            ))
+        }
+    };
+    let sides = |min: usize| {
+        if width >= min && height >= min && width.checked_mul(height).is_some() {
+            Ok(())
+        } else {
+            Err(format!(
+                "--family {family} needs sides (--width/--height or --n) >= {min} \
+                 whose product fits in usize, got {width}x{height}"
+            ))
+        }
+    };
+    match family {
+        "hypercube" => dims(1..=Hypercube::MAX_DIMS),
+        "se" => dims(ShuffleExchange::MIN_DIMS..=ShuffleExchange::MAX_DIMS),
+        "mesh" => sides(Mesh2D::MIN_SIDE),
+        "torus" => sides(Torus2D::MIN_SIDE),
+        _ => Ok(()),
+    }
+}
+
 /// The `--list` output: every lint with severity and clause.
 fn registry() -> String {
     let mut s = String::from("the fadr-lint battery:\n");
@@ -141,6 +178,10 @@ pub fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = check_size(&opts.family, opts.n, opts.width, opts.height) {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
     let code = match (opts.family.as_str(), opts.algo.as_str()) {
         ("hypercube", "fully-adaptive") => run(&HypercubeFullyAdaptive::new(opts.n), &opts),
         ("hypercube", "static-hang") => run(&HypercubeStaticHang::new(opts.n), &opts),
@@ -264,6 +305,18 @@ mod tests {
     fn square_defaults_from_n() {
         let o = opts(&["--family", "mesh", "--n", "7"]).unwrap();
         assert_eq!((o.width, o.height), (7, 7));
+    }
+
+    #[test]
+    fn sizes_are_checked_against_the_constructor_ranges() {
+        assert!(check_size("hypercube", 30, 0, 0).is_ok());
+        assert!(check_size("hypercube", 31, 0, 0).is_err());
+        assert!(check_size("se", 2, 0, 0).is_ok());
+        assert!(check_size("mesh", 0, 2, 3).is_ok());
+        assert!(check_size("mesh", 0, usize::MAX, 2).is_err());
+        assert!(check_size("torus", 0, 3, 2).is_err());
+        // Unknown families are left for the dispatch to name.
+        assert!(check_size("klein-bottle", 0, 0, 0).is_ok());
     }
 
     #[test]

@@ -3,18 +3,19 @@
 //! never trust a scheme's symmetry declaration), accumulating per-state
 //! findings and the concrete static QDG for the order lints.
 //!
-//! The walk is the certifier's: `fadr_qdg::explore::walk_dst`, seeded
-//! with *every* source's injection state, visits exactly the union of
-//! the per-pair state graphs in O(N) walks instead of O(N²)
-//! explorations. The lints add findings with dedup sets, the minimality
-//! and buffer-class checks, and the order lints over the static QDG.
+//! The walk is the certifier's: one `fadr_qdg::explore::Walker`, held
+//! across all destinations and seeded with *every* source's injection
+//! state, visits exactly the union of the per-pair state graphs in O(N)
+//! walks instead of O(N²) explorations. The lints add findings with
+//! dedup sets, the minimality and buffer-class checks, and the order
+//! lints over the static QDG.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 
-use fadr_qdg::explore::{walk_dst, Step};
+use fadr_qdg::explore::{Step, Walker};
 use fadr_qdg::graph::Digraph;
-use fadr_qdg::hasher::FxHashMap;
+use fadr_qdg::hasher::{FxHashMap, FxHashSet};
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, Transition};
 use fadr_topology::graph::reverse_adjacency;
@@ -54,23 +55,26 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
     let mut queues: Vec<QueueId> = Vec::new();
     let mut vertex: FxHashMap<QueueId, usize> = FxHashMap::default();
     let mut static_g = Digraph::default();
-    let mut witnesses: HashMap<(usize, usize), EdgeWitness> = HashMap::new();
+    let mut witnesses: FxHashMap<(usize, usize), EdgeWitness> = FxHashMap::default();
     let mut stats = Stats {
         states_explored: 0,
         queues_seen: 0,
     };
     // Dedup sets so a violation reported once per queue (or queue pair)
     // does not recur for every destination exhibiting it.
-    let mut dead_end_seen: HashSet<QueueId> = HashSet::new();
-    let mut wrong_delivery_seen: HashSet<QueueId> = HashSet::new();
-    let mut no_escape_seen: HashSet<QueueId> = HashSet::new();
-    let mut stutter_seen: HashSet<QueueId> = HashSet::new();
-    let mut nonminimal_seen: HashSet<(QueueId, QueueId)> = HashSet::new();
-    let mut queues_seen: HashSet<QueueId> = HashSet::new();
-    // (node, port) → buffer classes actually exercised by some route.
-    let mut used_buffers: HashMap<(NodeId, usize), BTreeSet<BufferClass>> = HashMap::new();
+    let mut dead_end_seen: FxHashSet<QueueId> = FxHashSet::default();
+    let mut wrong_delivery_seen: FxHashSet<QueueId> = FxHashSet::default();
+    let mut no_escape_seen: FxHashSet<QueueId> = FxHashSet::default();
+    let mut stutter_seen: FxHashSet<QueueId> = FxHashSet::default();
+    let mut nonminimal_seen: FxHashSet<(QueueId, QueueId)> = FxHashSet::default();
+    let mut queues_seen: FxHashSet<QueueId> = FxHashSet::default();
+    // (node, port, buffer class) → whether the channel declares the class,
+    // for every channel buffer some route uses; the channel's declaration
+    // is fetched once per entry, not once per hop.
+    let mut used_buffers: FxHashMap<(NodeId, usize, BufferClass), bool> = FxHashMap::default();
     let mut used_central_classes: BTreeSet<u8> = BTreeSet::new();
 
+    let mut walker = Walker::new();
     for dst in 0..n {
         let dist_to_dst = rev.as_deref().map(|rev| reverse_bfs(rev, dst));
         let finding = |lint, message, at: Vec<QueueId>, msg: &R::Msg| Finding {
@@ -81,7 +85,7 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
             dst: Some(dst),
             state: Some(format!("{msg:?}")),
         };
-        let walked = walk_dst(rf, dst, |q, msg, step| {
+        let walked = walker.walk(rf, dst, |q, msg, step| {
             let transitions = match step {
                 Step::Delivered => {
                     if q.node != dst && wrong_delivery_seen.insert(q) {
@@ -118,8 +122,10 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
             for t in transitions {
                 if let HopKind::Link(port) = t.hop {
                     if let Some(used) = buffer_class_of(t) {
-                        used_buffers.entry((q.node, port)).or_default().insert(used);
-                        check_declared(rf, col, q, port, used, t, dst);
+                        let declared = *used_buffers
+                            .entry((q.node, port, used))
+                            .or_insert_with(|| rf.buffer_classes(q.node, port).contains(&used));
+                        check_declared(col, q, port, used, declared, t, dst);
                     }
                     if let Some(dist) = &dist_to_dst {
                         let (du, dv) = (dist[q.node], dist[t.to.node]);
@@ -223,19 +229,18 @@ fn buffer_class_of<M>(t: &Transition<M>) -> Option<BufferClass> {
     }
 }
 
-fn check_declared<R: Symmetry + ?Sized>(
-    rf: &R,
+/// Report the hop's buffer class `used` unless the channel
+/// `q.node --port-->` declares it.
+fn check_declared<M: std::fmt::Debug>(
     col: &mut Collector<'_>,
     q: QueueId,
     port: usize,
     used: BufferClass,
-    t: &Transition<R::Msg>,
+    declared: bool,
+    t: &Transition<M>,
     dst: NodeId,
 ) {
-    if !col.enabled(LintId::UndeclaredBufferClass) {
-        return;
-    }
-    if rf.buffer_classes(q.node, port).contains(&used) {
+    if declared || !col.enabled(LintId::UndeclaredBufferClass) {
         return;
     }
     col.emit(Finding {
@@ -263,7 +268,7 @@ fn order_lints<R: Symmetry + ?Sized>(
     col: &mut Collector<'_>,
     queues: &[QueueId],
     static_g: &Digraph,
-    witnesses: &HashMap<(usize, usize), EdgeWitness>,
+    witnesses: &FxHashMap<(usize, usize), EdgeWitness>,
     rf: &R,
 ) {
     if static_g.is_acyclic() {
@@ -343,7 +348,7 @@ fn quotient_lint<R: Symmetry + ?Sized>(
         class_of.push(*class_index.entry(c).or_insert(next));
     }
     let mut quotient = Digraph::new(class_index.len());
-    let mut sample: HashMap<(usize, usize), (QueueId, QueueId)> = HashMap::new();
+    let mut sample: FxHashMap<(usize, usize), (QueueId, QueueId)> = FxHashMap::default();
     for (v, q) in queues.iter().enumerate() {
         for &u in static_g.successors(v) {
             let (a, b) = (class_of[v], class_of[u]);
@@ -383,7 +388,7 @@ fn quotient_lint<R: Symmetry + ?Sized>(
 fn provisioning_lints<R: Symmetry + ?Sized>(
     rf: &R,
     col: &mut Collector<'_>,
-    used_buffers: &HashMap<(NodeId, usize), BTreeSet<BufferClass>>,
+    used_buffers: &FxHashMap<(NodeId, usize, BufferClass), bool>,
     used_central_classes: &BTreeSet<u8>,
 ) {
     let topo = rf.topology();
@@ -393,9 +398,8 @@ fn provisioning_lints<R: Symmetry + ?Sized>(
         let mut shadowed: BTreeMap<BufferClass, (usize, (NodeId, usize))> = BTreeMap::new();
         for node in 0..topo.num_nodes() {
             for (port, _) in fadr_topology::out_edges(topo, node) {
-                let used = used_buffers.get(&(node, port));
                 for declared in rf.buffer_classes(node, port) {
-                    if used.is_some_and(|u| u.contains(&declared)) {
+                    if used_buffers.contains_key(&(node, port, declared)) {
                         continue;
                     }
                     shadowed.entry(declared).or_insert((0, (node, port))).0 += 1;

@@ -9,8 +9,7 @@
 //! per-destination distance tables, finds every `(source, destination)`
 //! flow the plan silently kills before any simulation is attempted.
 
-use std::collections::HashSet;
-
+use fadr_qdg::hasher::FxHashSet;
 use fadr_qdg::RoutingFunction;
 use fadr_sim::{FaultKind, FaultPlan};
 use fadr_topology::graph::reverse_adjacency;
@@ -28,7 +27,7 @@ pub(crate) fn run<R: RoutingFunction + ?Sized>(
     validate_events(rf, plan, col);
 
     let dead_nodes = plan.final_dead_nodes(n);
-    let dead_links: HashSet<(u32, u32)> = plan.final_dead_links().into_iter().collect();
+    let dead_links: FxHashSet<(u32, u32)> = plan.final_dead_links().into_iter().collect();
     let summary = FaultSummary {
         events: plan.events.len(),
         dead_nodes: dead_nodes.iter().filter(|&&d| d).count(),

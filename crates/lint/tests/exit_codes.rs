@@ -127,3 +127,25 @@ fn json_report_is_written_and_valid_schema() {
     assert!(body.contains("\"clause\""));
     std::fs::remove_file(&path).ok();
 }
+
+/// Sizes outside a family constructor's range are usage errors that
+/// name the valid range, never a constructor panic.
+#[test]
+fn out_of_range_sizes_exit_two_without_panicking() {
+    for (args, range) in [
+        (&["--family", "hypercube", "--n", "0"][..], "1..=30"),
+        (&["--family", "hypercube", "--n", "64"], "1..=30"),
+        (&["--family", "mesh", "--n", "1"], ">= 2"),
+        (
+            &["--family", "mesh", "--width", "1", "--height", "1"],
+            ">= 2",
+        ),
+        (&["--family", "se", "--n", "1"], "2..=30"),
+        (&["--family", "torus", "--n", "2"], ">= 3"),
+    ] {
+        let (code, _, stderr) = lint(args);
+        assert_eq!(code, Some(2), "args {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "args {args:?}: {stderr}");
+        assert!(stderr.contains(range), "args {args:?}: {stderr}");
+    }
+}

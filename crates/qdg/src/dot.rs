@@ -3,10 +3,10 @@
 //! Regenerates the paper's Figures 1–3 (the 3-hypercube, 3×3-mesh, and
 //! 3-shuffle-exchange hung from a node, with dynamic links drawn dashed).
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::explore::Qdg;
+use crate::hasher::FxHashSet;
 use crate::QueueKind;
 
 /// Options for QDG rendering.
@@ -31,7 +31,7 @@ pub fn qdg_to_dot(
         QueueKind::Deliver => opts.show_deliver,
         QueueKind::Central(_) => true,
     };
-    let dynamic: HashSet<(usize, usize)> = qdg.dynamic_edges.iter().copied().collect();
+    let dynamic: FxHashSet<(usize, usize)> = qdg.dynamic_edges.iter().copied().collect();
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{title}\" {{");
     let _ = writeln!(out, "  node [shape=box fontsize=10];");

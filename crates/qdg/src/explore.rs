@@ -9,15 +9,18 @@
 //!
 //! [`explore_pair`] materializes one pair's state graph and stays the
 //! exhaustive oracle of [`crate::verify`]. The scalable tools (the
-//! certifier and the lint battery) use [`walk_dst`] instead: transitions
+//! certifier and the lint battery) use a [`Walker`] instead: transitions
 //! depend only on the `(queue, message)` state, never on the source, so
 //! one walk per **destination** seeded with every source's injection
 //! state visits exactly the union of the per-pair state graphs — O(N)
 //! walks instead of O(N²) explorations — and streams each state to the
-//! caller rather than storing its transitions.
+//! caller rather than storing its transitions. One `Walker` is held
+//! across all destinations so its interner and buffers are allocated
+//! once; [`walk_dst`] is the one-off form.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::Hash;
 
 use fadr_topology::NodeId;
 
@@ -31,7 +34,7 @@ pub struct Qdg {
     /// Dense queue index → queue id.
     pub queues: Vec<QueueId>,
     /// Queue id → dense index.
-    pub index: HashMap<QueueId, usize>,
+    pub index: FxHashMap<QueueId, usize>,
     /// Static-link subgraph (the underlying `D = (Q, A_s)`).
     pub static_graph: Digraph,
     /// Full graph `D̃ = (Q, A_s ∪ A_d)`.
@@ -69,7 +72,7 @@ impl Qdg {
 
     /// The paper's `Level(q)` over the static DAG; `None` if the static
     /// QDG is cyclic (the scheme is rejected — levels don't exist).
-    pub fn static_levels(&self) -> Option<HashMap<QueueId, usize>> {
+    pub fn static_levels(&self) -> Option<FxHashMap<QueueId, usize>> {
         let lv = self.static_graph.levels()?;
         Some(self.queues.iter().copied().zip(lv).collect())
     }
@@ -80,7 +83,7 @@ pub fn build_qdg<R: RoutingFunction + ?Sized>(rf: &R) -> Qdg {
     let n = rf.topology().num_nodes();
     let mut qdg = Qdg {
         queues: Vec::new(),
-        index: HashMap::new(),
+        index: FxHashMap::default(),
         static_graph: Digraph::default(),
         full_graph: Digraph::default(),
         dynamic_edges: Vec::new(),
@@ -152,7 +155,7 @@ pub fn explore_pair<R: RoutingFunction + ?Sized>(
 ) -> StateGraph<R::Msg> {
     assert_ne!(src, dst, "explore_pair requires src != dst");
     let init = (QueueId::inject(src), rf.initial_msg(src, dst));
-    let mut index: HashMap<(QueueId, R::Msg), usize> = HashMap::new();
+    let mut index: FxHashMap<(QueueId, R::Msg), usize> = FxHashMap::default();
     let mut states = vec![init.clone()];
     index.insert(init, 0);
     let mut transitions: Vec<Vec<Transition<R::Msg>>> = Vec::new();
@@ -216,73 +219,118 @@ pub enum Step<'a, M> {
 /// Walk every `(queue, message)` state reachable on routes to `dst`,
 /// seeded with the injection state of every source `src != dst`.
 ///
-/// States are interned in BFS order (ids are dense, in first-sight
-/// order) and each is reported to `visit` exactly once, with its
-/// transitions streamed through one reused buffer; the walk keeps no
-/// per-state transition lists. After the last state, the static stutter
-/// transitions are checked for a cycle ([`Step::StutterCycle`]). The
-/// first `Err` from `visit` stops the walk; otherwise the number of
-/// states visited is returned.
-pub fn walk_dst<R, E, F>(rf: &R, dst: NodeId, mut visit: F) -> Result<usize, E>
+/// A one-off [`Walker::walk`]; callers walking many destinations hold
+/// one [`Walker`] instead and keep its buffers between walks.
+pub fn walk_dst<R, E, F>(rf: &R, dst: NodeId, visit: F) -> Result<usize, E>
 where
     R: RoutingFunction + ?Sized,
     F: FnMut(QueueId, &R::Msg, Step<'_, R::Msg>) -> Result<(), E>,
 {
-    let mut index: FxHashMap<(QueueId, R::Msg), u32> = FxHashMap::default();
-    let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
-    for src in (0..rf.topology().num_nodes()).filter(|&src| src != dst) {
-        let seed = (QueueId::inject(src), rf.initial_msg(src, dst));
-        intern(&mut index, &mut states, seed);
+    Walker::new().walk(rf, dst, visit)
+}
+
+/// The reusable workspace of the per-destination walk: the
+/// `(QueueId, Msg)` interner, the BFS state queue (the interned states in
+/// id order), the transition and successor buffers streamed to the
+/// visitor, and the static stutter edges.
+///
+/// [`Walker::walk`] clears all of them first and keeps their capacity, so
+/// a tool walking every destination pays for rehash growth and buffer
+/// allocation once, for its largest destination, instead of once per
+/// destination. A walk's result never depends on earlier walks: nothing
+/// but capacity survives from one to the next, including after a walk the
+/// visitor stopped with `Err`.
+pub struct Walker<M> {
+    index: FxHashMap<(QueueId, M), u32>,
+    states: Vec<(QueueId, M)>,
+    transitions: Vec<Transition<M>>,
+    succ: Vec<u32>,
+    stutter: Vec<(u32, u32)>,
+}
+
+impl<M> Default for Walker<M> {
+    fn default() -> Self {
+        Self {
+            index: FxHashMap::default(),
+            states: Vec::new(),
+            transitions: Vec::new(),
+            succ: Vec::new(),
+            stutter: Vec::new(),
+        }
     }
-    let mut transitions: Vec<Transition<R::Msg>> = Vec::new();
-    let mut succ: Vec<u32> = Vec::new();
-    let mut stutter: Vec<(u32, u32)> = Vec::new();
-    let mut i = 0;
-    while i < states.len() {
-        // `states` grows as successors are interned: clone the state out.
-        let (q, msg) = states[i].clone();
-        let cur = as_u32(i);
-        i += 1;
-        if q.kind == QueueKind::Deliver {
-            visit(q, &msg, Step::Delivered)?;
-            continue;
+}
+
+impl<M: Clone + Eq + Hash> Walker<M> {
+    /// An empty workspace; buffers grow on the first walk.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Walk every `(queue, message)` state reachable on routes to `dst`,
+    /// seeded with the injection state of every source `src != dst`.
+    ///
+    /// States are interned in BFS order (ids are dense, in first-sight
+    /// order) and each is reported to `visit` exactly once, with its
+    /// transitions streamed through one reused buffer; the walk keeps no
+    /// per-state transition lists. After the last state, the static
+    /// stutter transitions are checked for a cycle ([`Step::StutterCycle`]).
+    /// The first `Err` from `visit` stops the walk; otherwise the number
+    /// of states visited is returned.
+    pub fn walk<R, E, F>(&mut self, rf: &R, dst: NodeId, mut visit: F) -> Result<usize, E>
+    where
+        R: RoutingFunction<Msg = M> + ?Sized,
+        F: FnMut(QueueId, &M, Step<'_, M>) -> Result<(), E>,
+    {
+        let Walker {
+            index,
+            states,
+            transitions,
+            succ,
+            stutter,
+        } = self;
+        index.clear();
+        states.clear();
+        stutter.clear();
+        for src in (0..rf.topology().num_nodes()).filter(|&src| src != dst) {
+            let seed = (QueueId::inject(src), rf.initial_msg(src, dst));
+            intern(index, states, seed);
         }
-        transitions.clear();
-        rf.for_each_transition(q, &msg, &mut |t| transitions.push(t));
-        if transitions.is_empty() {
-            visit(q, &msg, Step::DeadEnd)?;
-            continue;
-        }
-        succ.clear();
-        for t in &transitions {
-            let j = intern(&mut index, &mut states, (t.to, t.msg.clone()));
-            if t.to == q && t.kind == LinkKind::Static {
-                stutter.push((cur, j));
+        let mut i = 0;
+        while i < states.len() {
+            // `states` grows as successors are interned: clone the state out.
+            let (q, msg) = states[i].clone();
+            let cur = as_u32(i);
+            i += 1;
+            if q.kind == QueueKind::Deliver {
+                visit(q, &msg, Step::Delivered)?;
+                continue;
             }
-            succ.push(j);
+            transitions.clear();
+            rf.for_each_transition(q, &msg, &mut |t| transitions.push(t));
+            if transitions.is_empty() {
+                visit(q, &msg, Step::DeadEnd)?;
+                continue;
+            }
+            succ.clear();
+            for t in transitions.iter() {
+                let j = intern(index, states, (t.to, t.msg.clone()));
+                if t.to == q && t.kind == LinkKind::Static {
+                    stutter.push((cur, j));
+                }
+                succ.push(j);
+            }
+            visit(q, &msg, Step::Expanded { transitions, succ })?;
         }
-        visit(
-            q,
-            &msg,
-            Step::Expanded {
-                transitions: &transitions,
-                succ: &succ,
-            },
-        )?;
+        if let Some(s) = stutter_cycle(stutter) {
+            let (q, msg) = &states[s as usize];
+            visit(*q, msg, Step::StutterCycle)?;
+        }
+        Ok(states.len())
     }
-    if let Some(s) = stutter_cycle(&stutter) {
-        let (q, msg) = &states[s as usize];
-        visit(*q, msg, Step::StutterCycle)?;
-    }
-    Ok(states.len())
 }
 
 /// Dense id of `key`, appending it to `states` (the BFS work queue) if new.
-fn intern<K: Clone + Eq + std::hash::Hash>(
-    index: &mut FxHashMap<K, u32>,
-    states: &mut Vec<K>,
-    key: K,
-) -> u32 {
+fn intern<K: Clone + Eq + Hash>(index: &mut FxHashMap<K, u32>, states: &mut Vec<K>, key: K) -> u32 {
     match index.entry(key) {
         Entry::Occupied(e) => *e.get(),
         Entry::Vacant(e) => {
@@ -343,6 +391,7 @@ pub fn stutter_cycle(edges: &[(u32, u32)]) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hasher::FxHashSet;
     use crate::verify::test_fixtures::EcubeHypercube;
 
     #[test]
@@ -354,7 +403,6 @@ mod tests {
 
     #[test]
     fn walk_visits_the_union_of_the_pair_explorations() {
-        use std::collections::HashSet;
         let rf = EcubeHypercube::new(3);
         for dst in 0..8 {
             // States are reported in id order, so the k-th is state k.
@@ -377,9 +425,9 @@ mod tests {
             for (state, j) in edges {
                 assert_eq!(walked[j], state, "successor id names the target state");
             }
-            let walked: HashSet<_> = walked.into_iter().collect();
+            let walked: FxHashSet<_> = walked.into_iter().collect();
             assert_eq!(walked.len(), count, "each state is reported once");
-            let union: HashSet<_> = (0..8)
+            let union: FxHashSet<_> = (0..8)
                 .filter(|&src| src != dst)
                 .flat_map(|src| explore_pair(&rf, src, dst).states)
                 .collect();

@@ -3,13 +3,13 @@
 //! Vertices are dense indices assigned by the caller (the QDG explorer maps
 //! [`QueueId`](crate::QueueId)s to indices). Edges are deduplicated.
 
-use std::collections::HashSet;
+use crate::hasher::FxHashSet;
 
 /// Directed graph over vertices `0..n` with deduplicated edges.
 #[derive(Debug, Clone, Default)]
 pub struct Digraph {
     adj: Vec<Vec<usize>>,
-    edge_set: HashSet<(usize, usize)>,
+    edge_set: FxHashSet<(usize, usize)>,
 }
 
 impl Digraph {
@@ -17,7 +17,7 @@ impl Digraph {
     pub fn new(n: usize) -> Self {
         Self {
             adj: vec![Vec::new(); n],
-            edge_set: HashSet::new(),
+            edge_set: FxHashSet::default(),
         }
     }
 

@@ -1,13 +1,30 @@
-//! A small Fx-style hasher for the hot interning maps.
+//! The one hasher of the analysis crates: a small Fx-style hasher for
+//! every map and set in `fadr-qdg`, `fadr-verify` and `fadr-lint`.
 //!
-//! The per-destination walker ([`crate::explore::walk_dst`]) interns
-//! hundreds of millions of `(QueueId, Msg)` states on large instances
-//! (e.g. the 4096-node shuffle-exchange), and the lane simulator interns
-//! its routing-state table the same way; the standard library's SipHash
-//! dominates both profiles. Keys here are short sequences of machine
-//! words from derived `Hash` impls and need no DoS resistance, so a
-//! multiply-xor mix in the style of rustc's `FxHasher` is the right trade.
+//! Keys here are short sequences of machine words from derived `Hash`
+//! impls and need no DoS resistance, so a multiply-xor mix in the style
+//! of rustc's `FxHasher` is the right trade; the standard library's
+//! SipHash dominated every profile it was left in. The hasher cannot
+//! change a verdict: equality decides membership, and no verdict depends
+//! on iteration order. Each crate's `clippy.toml`
+//! disallows `std::collections::{HashMap, HashSet}`, so the aliases
+//! below are the only way in. The users:
+//!
+//! - `fadr-qdg`: the per-destination walker's `(QueueId, Msg)` interner
+//!   ([`crate::explore::Walker`], hundreds of millions of states on the
+//!   4096-node shuffle-exchange), its stutter-cycle check, the
+//!   `explore_pair` interner, `Qdg::index` and `Qdg::static_levels`,
+//!   `Digraph`'s edge set, the model checker's bounded-path hop map and
+//!   the DOT renderer's dynamic-edge set;
+//! - `fadr-verify`: `check_certificate`'s state index, stutter
+//!   adjacency, ranks and DFS colours; the class graph's index,
+//!   witnesses, escapes and seen-sets; the counterexample renderer's
+//!   index and the `Faulted` wrapper's dead-link set;
+//! - `fadr-lint`: the engine's vertex index, edge witnesses, dedup
+//!   sets and used buffer classes, and the fault pass's dead-link set;
+//! - `fadr-sim`: the lane simulator's routing-state table.
 
+#[allow(clippy::disallowed_types)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -76,8 +93,10 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `HashMap` keyed with [`FxHasher`].
+#[allow(clippy::disallowed_types)]
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with [`FxHasher`].
+#[allow(clippy::disallowed_types)]
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

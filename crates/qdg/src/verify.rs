@@ -8,12 +8,11 @@
 //! that the very same [`RoutingFunction`] implementation is then scaled up
 //! by the simulator.
 
-use std::collections::HashMap;
-
 use fadr_topology::graph as tgraph;
 
 use crate::explore::{build_qdg, explore_pair, StateGraph};
 use crate::graph::Digraph;
+use crate::hasher::FxHashMap;
 use crate::{HopKind, LinkKind, QueueId, QueueKind, RoutingFunction, Transition};
 
 /// A failed check, with a human-readable location plus the structured
@@ -391,7 +390,7 @@ pub fn verify_bounded_paths<R: RoutingFunction + ?Sized>(rf: &R) -> Result<(), V
                 );
             };
             // Longest link-hop count from the injection state.
-            let mut hops: HashMap<usize, usize> = HashMap::new();
+            let mut hops: FxHashMap<usize, usize> = FxHashMap::default();
             hops.insert(0, 0);
             for &i in &order {
                 let Some(&h) = hops.get(&i) else { continue };

@@ -21,10 +21,16 @@ pub struct Mesh2D {
 }
 
 impl Mesh2D {
+    /// Shortest side [`Mesh2D::new`] accepts.
+    pub const MIN_SIDE: usize = 2;
+
     /// Create a `width × height` mesh. Panics if either side is < 2 or the
     /// node count would overflow practical sizes.
     pub fn new(width: usize, height: usize) -> Self {
-        assert!(width >= 2 && height >= 2, "mesh sides must be >= 2");
+        assert!(
+            width >= Self::MIN_SIDE && height >= Self::MIN_SIDE,
+            "mesh sides must be >= 2"
+        );
         assert!(width.checked_mul(height).is_some());
         Self { width, height }
     }

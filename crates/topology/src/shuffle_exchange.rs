@@ -27,10 +27,15 @@ pub struct ShuffleExchange {
 }
 
 impl ShuffleExchange {
+    /// Smallest dimension [`ShuffleExchange::new`] accepts.
+    pub const MIN_DIMS: usize = 2;
+    /// Largest dimension [`ShuffleExchange::new`] accepts.
+    pub const MAX_DIMS: usize = 30;
+
     /// Create a `2^n`-node shuffle-exchange. Panics unless `2 <= n <= 30`.
     pub fn new(dims: usize) -> Self {
         assert!(
-            (2..=30).contains(&dims),
+            (Self::MIN_DIMS..=Self::MAX_DIMS).contains(&dims),
             "shuffle-exchange dims must be 2..=30"
         );
         Self { dims }

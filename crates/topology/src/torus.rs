@@ -19,10 +19,16 @@ pub struct Torus2D {
 }
 
 impl Torus2D {
+    /// Shortest side [`Torus2D::new`] accepts.
+    pub const MIN_SIDE: usize = 3;
+
     /// Create a `width × height` torus. Panics if either side is < 3
     /// (a 2-ring degenerates: +d and -d reach the same node).
     pub fn new(width: usize, height: usize) -> Self {
-        assert!(width >= 3 && height >= 3, "torus sides must be >= 3");
+        assert!(
+            width >= Self::MIN_SIDE && height >= Self::MIN_SIDE,
+            "torus sides must be >= 3"
+        );
         assert!(width.checked_mul(height).is_some());
         Self { width, height }
     }

@@ -2,7 +2,8 @@
 //!
 //! [`check_certificate`] is the trusted core of the certifier: it
 //! deliberately shares **no** code with the constructor — no `Digraph`,
-//! no SCC/Kahn machinery, no class-graph builder. It re-explores the
+//! no SCC/Kahn machinery, no class-graph builder, no state walker (only
+//! the hasher, which cannot change a verdict). It re-explores the
 //! scheme with its own interning loop and verifies the certificate's
 //! rank function directly: every static non-stutter transition must map
 //! a class to a strictly higher-ranked class, every non-delivered state
@@ -11,10 +12,9 @@
 //! far simpler than computing one, which is what keeps this component
 //! small enough to audit (the § 2 argument then rests on it alone).
 
-use std::collections::HashMap;
-
+use fadr_qdg::hasher::FxHashMap;
 use fadr_qdg::sym::{QueueClass, Symmetry};
-use fadr_qdg::{HopKind, LinkKind, QueueId, QueueKind};
+use fadr_qdg::{HopKind, LinkKind, QueueId, QueueKind, Transition};
 
 use crate::certificate::{Certificate, ClassifierMode};
 
@@ -36,7 +36,7 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
             rf.name()
         ));
     }
-    let mut rank: HashMap<QueueClass, u64> = HashMap::new();
+    let mut rank: FxHashMap<QueueClass, u64> = FxHashMap::default();
     for &(c, r) in &cert.ranks {
         if rank.insert(c, r).is_some() {
             return Err(format!("duplicate rank entry for class {c}"));
@@ -61,9 +61,16 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
         }
         reps
     };
+    // Per-destination work sets, cleared for each destination so their
+    // capacity is allocated once.
+    let mut index: FxHashMap<(QueueId, R::Msg), usize> = FxHashMap::default();
+    let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
+    let mut stutter: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
+    let mut ts: Vec<Transition<R::Msg>> = Vec::new();
     for &dst in &dsts {
-        let mut index: HashMap<(QueueId, R::Msg), usize> = HashMap::new();
-        let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
+        index.clear();
+        states.clear();
+        stutter.clear();
         for src in 0..n {
             if src == dst {
                 continue;
@@ -74,7 +81,6 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
                 states.len() - 1
             });
         }
-        let mut stutter: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut i = 0usize;
         while i < states.len() {
             let (q, msg) = states[i].clone();
@@ -89,7 +95,8 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
                 }
                 continue;
             }
-            let ts = rf.transitions(q, &msg);
+            ts.clear();
+            rf.for_each_transition(q, &msg, &mut |t| ts.push(t));
             if ts.is_empty() {
                 return Err(format!("dead end at {q} for {msg:?} (dst={dst})"));
             }
@@ -149,10 +156,10 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
 
 /// Three-color DFS over the sparse stutter adjacency of one destination.
 /// Kept apart from `fadr_qdg::explore::stutter_cycle`: the checker shares no constructor code.
-fn stutter_cycle(adj: &HashMap<usize, Vec<usize>>) -> Option<usize> {
+fn stutter_cycle(adj: &FxHashMap<usize, Vec<usize>>) -> Option<usize> {
     let mut roots: Vec<usize> = adj.keys().copied().collect();
     roots.sort_unstable();
-    let mut color: HashMap<usize, u8> = HashMap::new();
+    let mut color: FxHashMap<usize, u8> = FxHashMap::default();
     for &start in &roots {
         if color.contains_key(&start) {
             continue;

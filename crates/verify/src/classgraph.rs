@@ -3,7 +3,8 @@
 //! The exhaustive checker in `fadr_qdg::verify` explores every
 //! `(src, dst)` pair — O(N²) explorations. Transitions, however, depend
 //! only on the current `(queue, message)` state, never on the source, so
-//! one walk per **destination** (`fadr_qdg::explore::walk_dst`), seeded
+//! one walk per **destination** (one `fadr_qdg::explore::Walker` held
+//! across all of them, so its buffers are allocated once), seeded
 //! with the injection states of *all* sources at once, visits exactly the
 //! union of the per-pair state graphs. That alone is an exact
 //! O(N)-exploration construction.
@@ -24,9 +25,7 @@
 //! are invisible at the QDG level (matching `build_qdg`), the walker's
 //! cycle check over the static stutter transitions.
 
-use std::collections::HashMap;
-
-use fadr_qdg::explore::{walk_dst, Step};
+use fadr_qdg::explore::{Step, Walker};
 use fadr_qdg::graph::Digraph;
 use fadr_qdg::hasher::{FxHashMap, FxHashSet};
 use fadr_qdg::sym::{QueueClass, Symmetry};
@@ -73,7 +72,7 @@ pub struct ClassGraph {
     /// Number of distinct dynamic class edges observed.
     pub dynamic_class_edges: usize,
     /// One concrete witness per distinct static class edge.
-    pub witnesses: HashMap<(usize, usize), EdgeWitness>,
+    pub witnesses: FxHashMap<(usize, usize), EdgeWitness>,
     /// One static-continuation witness per class, sorted by class.
     pub escapes: Vec<EscapeWitness>,
     /// The destinations explored.
@@ -126,7 +125,7 @@ pub fn build<R: Symmetry + ?Sized>(rf: &R, force_all_dsts: bool) -> Result<Class
         index: FxHashMap::default(),
         static_graph: Digraph::default(),
         dynamic_class_edges: 0,
-        witnesses: HashMap::new(),
+        witnesses: FxHashMap::default(),
         escapes: Vec::new(),
         dsts: dsts.clone(),
         all_dsts,
@@ -135,9 +134,18 @@ pub fn build<R: Symmetry + ?Sized>(rf: &R, force_all_dsts: bool) -> Result<Class
     };
     let mut dynamic: FxHashSet<(usize, usize)> = FxHashSet::default();
     let mut seen: FxHashSet<QueueId> = FxHashSet::default();
-    let mut escapes: HashMap<usize, EscapeWitness> = HashMap::new();
+    let mut escapes: FxHashMap<usize, EscapeWitness> = FxHashMap::default();
+    let mut walker = Walker::new();
     for &dst in &dsts {
-        explore_dst(rf, dst, &mut cg, &mut dynamic, &mut seen, &mut escapes)?;
+        explore_dst(
+            rf,
+            dst,
+            &mut walker,
+            &mut cg,
+            &mut dynamic,
+            &mut seen,
+            &mut escapes,
+        )?;
     }
     cg.dynamic_class_edges = dynamic.len();
     cg.queues_seen = seen.len();
@@ -147,17 +155,18 @@ pub fn build<R: Symmetry + ?Sized>(rf: &R, force_all_dsts: bool) -> Result<Class
     Ok(cg)
 }
 
-/// One [`walk_dst`] per destination: class edges and witnesses from the
+/// One walk per destination: class edges and witnesses from the
 /// expanded states, stopping at the first § 2 violation.
 fn explore_dst<R: Symmetry + ?Sized>(
     rf: &R,
     dst: NodeId,
+    walker: &mut Walker<R::Msg>,
     cg: &mut ClassGraph,
     dynamic: &mut FxHashSet<(usize, usize)>,
     seen: &mut FxHashSet<QueueId>,
-    escapes: &mut HashMap<usize, EscapeWitness>,
+    escapes: &mut FxHashMap<usize, EscapeWitness>,
 ) -> Result<(), Violation> {
-    let states = walk_dst(rf, dst, |q, msg, step| {
+    let states = walker.walk(rf, dst, |q, msg, step| {
         let transitions = match step {
             Step::Delivered if q.node != dst => {
                 return Err(violation(

@@ -29,6 +29,7 @@ use fadr_core::{
     EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive, MeshStaticHang,
     MeshXY, ShuffleExchangeRouting, TorusTwoPhase,
 };
+use fadr_lint::cli::check_size;
 use fadr_lint::{lint_scheme, LintConfig};
 use fadr_qdg::sym::Symmetry;
 
@@ -126,6 +127,10 @@ pub fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = check_size(&opts.family, opts.n, opts.width, opts.height) {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
     let code = match (opts.family.as_str(), opts.algo.as_str()) {
         ("hypercube", "fully-adaptive") => run(&HypercubeFullyAdaptive::new(opts.n), &opts),
         ("hypercube", "static-hang") => run(&HypercubeStaticHang::new(opts.n), &opts),

@@ -35,11 +35,10 @@ pub mod cli;
 pub mod concrete;
 pub mod faulted;
 
-use std::collections::HashMap;
-
 use fadr_qdg::dot::{qdg_to_dot, DotOptions};
 use fadr_qdg::explore::Qdg;
 use fadr_qdg::graph::Digraph;
+use fadr_qdg::hasher::FxHashMap;
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::verify::Violation;
 use fadr_qdg::QueueId;
@@ -218,7 +217,7 @@ fn extract(name: String, cg: &ClassGraph) -> Rejection {
 /// Assemble a one-cycle [`Qdg`] and render it through `fadr_qdg::dot`.
 fn render_cycle(name: &str, cycle: &[QueueId]) -> String {
     let mut queues = Vec::with_capacity(cycle.len());
-    let mut index = HashMap::new();
+    let mut index = FxHashMap::default();
     for &q in cycle {
         index.insert(q, queues.len());
         queues.push(q);
